@@ -76,11 +76,13 @@ soak:
 # detector (rotation, recovery, the crash-at-every-op sweep, the
 # watchdog), the serve-cycle end-to-end test (build IDs observable in
 # /debug/ledger, the access log, /debug/ops, the edge metrics, and
-# `strudel history`/`strudel top`), and the ledger-overhead A/B guard
-# on the delta-rebuild benchmark (<3% budget, 80 cycles per arm).
+# `strudel history`/`strudel top`), the refresh cycle's unit tests
+# (failed-publish sweep, freshness, backoff, violation logging on fake
+# clocks and fault-injecting filesystems), and the ledger-overhead A/B
+# guard on the delta-rebuild benchmark (<3% budget, 80 cycles per arm).
 ledger:
 	$(GO) test -race ./internal/ledger/
-	$(GO) test -race -run 'Ledger|History|TopRenders' ./cmd/strudel/
+	$(GO) test -race -run 'Ledger|History|TopRenders|Cycle' ./cmd/strudel/
 	$(GO) test -run '^$$' -bench 'LedgerOverhead' -benchtime 10x .
 
 # Introspection demo: the profiled plan of the CNN example site, no

@@ -866,9 +866,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("bare", run(server.Static(site)))
+	edge := server.NewEdge(server.NewSiteSource(site), server.EdgeConfig{})
+	b.Run("bare", run(edge))
 	reg := telemetry.NewRegistry()
-	b.Run("instrumented", run(server.Instrument(reg, "static", server.Static(site))))
+	b.Run("instrumented", run(server.Instrument(reg, "static", edge)))
 }
 
 // BenchmarkServeObservability prices the full serving-plane
@@ -922,7 +923,7 @@ func BenchmarkServeObservability(b *testing.B) {
 		dec := incremental.Decompose(struql.MustParse(spec.Query), workload.Bibliography(100, 42), nil)
 		rend := &incremental.Renderer{Dec: dec, Templates: spec.Templates, EmbedOnly: spec.EmbedOnly}
 		rootReq := httptest.NewRequest("GET", "/", nil)
-		inner := server.Dynamic(rend, spec.RootCollection)
+		inner := server.DynamicEdge(func() *incremental.Renderer { return rend }, spec.RootCollection, server.EdgeConfig{})
 		w := nopResponseWriter{h: http.Header{}}
 		inner.ServeHTTP(w, rootReq) // warm the decomposed-query cache
 		base := server.Instrument(telemetry.NewRegistry(), "dynamic", inner)
@@ -954,10 +955,11 @@ func BenchmarkServeObservability(b *testing.B) {
 		"index.html": {Path: "index.html", HTML: "<html><body><h1>Home</h1></body></html>"},
 	}}
 	pageReq := httptest.NewRequest("GET", "/index.html", nil)
+	edge := server.NewEdge(server.NewSiteSource(site), server.EdgeConfig{})
 	b.Run("floor-metrics-only",
-		run(server.Instrument(telemetry.NewRegistry(), "static", server.Static(site)), pageReq))
+		run(server.Instrument(telemetry.NewRegistry(), "static", edge), pageReq))
 	b.Run("floor-observed",
-		run(server.InstrumentObserved(observed(telemetry.NewRegistry()), "static", server.Static(site)), pageReq))
+		run(server.InstrumentObserved(observed(telemetry.NewRegistry()), "static", edge), pageReq))
 }
 
 // BenchmarkExplainOverhead prices the introspection layer: the same

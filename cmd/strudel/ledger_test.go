@@ -114,6 +114,9 @@ func TestServeLedgerCycle(t *testing.T) {
 	if changed.Pages.Rendered == 0 || len(changed.Sources) == 0 {
 		t.Errorf("changed entry missing detail: %+v", changed)
 	}
+	if len(changed.Stages) == 0 || changed.Stages[0].Name != "mediate" {
+		t.Errorf("changed entry stages = %+v, want the mediate stage first", changed.Stages)
+	}
 	liveID := noop.BuildID
 	if liveID == "" || changed.BuildID == "" || changed.BuildID == initial.BuildID {
 		t.Fatalf("build IDs not distinct: %q %q %q", initial.BuildID, changed.BuildID, liveID)
@@ -208,8 +211,7 @@ func TestServeLedgerCycle(t *testing.T) {
 	if !strings.Contains(body, "strudel_freshness_propagation_seconds_count 1") {
 		t.Errorf("metrics missing propagation count 1:\n%s", grepLines(body, "freshness_propagation"))
 	}
-	if !strings.Contains(body, `strudel_edge_build_info{build_id="`+liveID+`"`) &&
-		!strings.Contains(body, `build_id="`+liveID+`"`) {
+	if !strings.Contains(body, `strudel_edge_build_info{build_id="`+liveID+`"`) {
 		t.Errorf("metrics missing edge build info for %q:\n%s", liveID, grepLines(body, "build_info"))
 	}
 	if !strings.Contains(body, "strudel_ledger_entries_total 3") {

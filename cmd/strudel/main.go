@@ -90,9 +90,9 @@ import (
 	"strudel/internal/ledger"
 	"strudel/internal/mediator"
 	"strudel/internal/publish"
+	"strudel/internal/resilience"
 	"strudel/internal/schema"
 	"strudel/internal/server"
-	"strudel/internal/sitegen"
 	"strudel/internal/telemetry"
 	"strudel/internal/workload"
 )
@@ -517,7 +517,7 @@ func cmdServe(args []string) error {
 	}
 	stop := make(chan struct{})
 	opts.stop = stop
-	handler, refresh, err := serveHandler(m, opts)
+	handler, c, err := newServing(m, opts)
 	if err != nil {
 		return err
 	}
@@ -529,7 +529,7 @@ func cmdServe(args []string) error {
 		close(stop)
 	}()
 	if *refreshInterval > 0 {
-		go refreshLoop(refresh, *refreshInterval, stop, logg)
+		go c.run(*refreshInterval, stop)
 	}
 	logg.Info("serving", "site", m.name, "addr", *addr,
 		"dynamic", *dynamic, "metrics", *metrics, "ops", *ops,
@@ -537,28 +537,7 @@ func cmdServe(args []string) error {
 	return server.ServeUntil(server.NewServer(*addr, handler), stop, 5*time.Second)
 }
 
-// refreshLoop re-runs refresh every interval until stop fires. A hard
-// failure (no last-good data to fall back on) backs off exponentially,
-// capped at 10× the interval, so a broken source set is not hammered;
-// the server keeps answering from the last good build throughout.
-func refreshLoop(refresh func() error, interval time.Duration, stop <-chan struct{}, logg *slog.Logger) {
-	delay := interval
-	for {
-		select {
-		case <-stop:
-			return
-		case <-time.After(delay):
-		}
-		if err := refresh(); err != nil {
-			logg.Error("refresh failed, serving stale data", "err", err)
-			delay = min(delay*2, 10*interval)
-		} else {
-			delay = interval
-		}
-	}
-}
-
-// serveOptions tunes serveHandler. The zero value serves the site
+// serveOptions tunes newServing. The zero value serves the site
 // with no telemetry, matching the bare `strudel serve` invocation.
 type serveOptions struct {
 	// dynamic computes pages at click time instead of materializing.
@@ -639,22 +618,30 @@ func (o *serveOptions) observability(ireg *telemetry.Registry) (server.Observabi
 	}
 }
 
-// serveHandler builds the HTTP handler for a manifest — the fully
-// materialized site or click-time evaluation, each with /query for
-// ad-hoc StruQL queries — plus a refresh function that rebuilds from
-// the sources and atomically swaps the new result in (in-flight
-// requests keep their snapshot). The handler is hardened: panics in
-// one request answer 500 without taking the process down, and beyond
-// maxInflight concurrent requests new ones are shed with 503. With a
-// non-nil registry the whole pipeline reports into it and the debug
-// endpoints are mounted (outside the shedding chain, so /metrics
-// stays reachable under overload), including /debug/explain and —
-// in static mode — /debug/provenance. /healthz and /readyz are always
-// mounted: readiness follows the mediator's refresh state, flipping
-// off only when a source failed with no last-good data to serve.
+// serveHandler is newServing for callers that drive refreshes
+// themselves: the returned function runs one interval step.
 func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, error) {
-	dynamic, reg, logg := opts.dynamic, opts.reg, opts.logg
-	renderTimeout, maxInflight := opts.renderTimeout, opts.maxInflight
+	h, c, err := newServing(m, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, func() error { return c.step("interval") }, nil
+}
+
+// newServing builds the HTTP handler for a manifest — the edge over
+// the materialized site or click-time evaluation, with /query for
+// ad-hoc StruQL queries — plus the cycle that keeps it current, whose
+// first step (the initial build) has run. The handler is hardened:
+// panics in one request answer 500 without taking the process down,
+// and beyond maxInflight concurrent requests new ones are shed with
+// 503. With a non-nil registry the whole pipeline reports into it and
+// the debug endpoints are mounted (outside the shedding chain, so
+// /metrics stays reachable under overload), including /debug/explain
+// and — in static mode — /debug/provenance. /healthz and /readyz are
+// always mounted: readiness follows the mediator's refresh state,
+// flipping off only when a source failed with no last-good data.
+func newServing(m *manifest, opts serveOptions) (http.Handler, *cycle, error) {
+	reg, logg := opts.reg, opts.logg
 	obsOn := opts.ops || opts.accessLog != nil || opts.sloTarget > 0 || opts.hotPages > 0
 	// ireg backs instrumentation; it is the exposed registry when
 	// -metrics is on, else an internal one (or nil with no observers).
@@ -667,7 +654,7 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		telemetry.RegisterBuildInfo(ireg)
 	}
 	mode := "static"
-	if dynamic {
+	if opts.dynamic {
 		mode = "dynamic"
 	}
 	// The build ledger records every refresh cycle — in memory always,
@@ -686,248 +673,59 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		led.Instrument(ireg)
 		wd.Instrument(ireg)
 	}
-	record := func(e ledger.Entry) {
-		if _, err := led.Append(e); err != nil {
-			logg.Warn("build ledger append failed", "err", err)
-		}
-		wd.Observe(e)
-	}
-	mux := http.NewServeMux()
-	var refresh func() error
-	var intro server.Introspector
-	// Observability is assembled before the serving handlers so the
-	// edge's hot/cold policy can rank pages by the same accounting
-	// table the middleware feeds.
+	// Observability is assembled before the edge so its hot/cold policy
+	// can rank pages by the same accounting table the middleware feeds.
 	var obs server.Observability
 	var opsSurface *server.Ops
 	if ireg != nil {
 		obs, opsSurface = opts.observability(ireg)
 	}
-	// edgeOn routes requests through the caching edge (provenance-keyed
-	// ETags, hot-page materialization, precompression) instead of the
-	// plain handlers.
-	edgeOn := opts.hotPages > 0 || opts.compress
-	edgeCfg := server.EdgeConfig{
+	c := newCycle(m, opts.dynamic, server.EdgeConfig{
 		Mode:          mode,
 		HotPages:      opts.hotPages,
 		Compress:      opts.compress,
 		Accounting:    obs.Accounting,
 		Registry:      ireg,
-		RenderTimeout: renderTimeout,
+		RenderTimeout: opts.renderTimeout,
+	}, opts.pub, led, wd, resilience.Real, logg)
+	if !opts.dynamic && reg != nil {
+		// Metrics mode also records page provenance, so
+		// /debug/provenance can answer from the served result.
+		m.builder.EnableIntrospection()
 	}
-	// builtAt tracks (atomically, as unix nanos) when the served
-	// content was last built or re-validated; the accounting table
-	// derives per-page staleness from it. dataAsOf tracks when the
-	// served data was last *observed at its sources* (the refresh
-	// stamp) — a no-op refresh advances builtAt but not dataAsOf — and
-	// curBuild names the live build for cross-plane correlation.
-	var builtAt atomic.Int64
-	var dataAsOf atomic.Int64
-	var curBuild atomic.Value // string
-	curBuild.Store("")
-	buildID := func() string { s, _ := curBuild.Load().(string); return s }
-	var edge *server.Edge
+	if err := c.step("initial"); err != nil {
+		return nil, nil, err
+	}
+	if opts.hotPages > 0 && opts.stop != nil {
+		go c.edge.RunPolicy(opts.stop, 0)
+	}
 
-	if dynamic {
-		r0, err := m.builder.BuildDynamic()
-		if err != nil {
-			return nil, nil, err
-		}
-		var cur atomic.Pointer[incremental.Renderer]
-		cur.Store(r0)
-		builtAt.Store(r0.BuiltAt.UnixNano())
-		dataAsOf.Store(r0.BuiltAt.UnixNano())
-		// Click-time rendering has no core.Result; each cycle gets a
-		// fresh build ID and a minimal ledger entry carrying the
-		// mediator's per-source outcomes.
-		dynEntry := func(id, trigger string, totalMs float64) ledger.Entry {
-			e := ledger.Entry{BuildID: id, Site: m.name, Trigger: trigger,
-				Mode: "dynamic", TotalMs: totalMs}
-			if rep := m.builder.LastRefresh(); rep != nil {
-				e.Sources = ledger.SourceRecords(rep)
-				e.Data = ledger.DeltaSizeOf(rep.Warehouse)
-			}
-			return e
-		}
-		id0 := telemetry.NewID("build")
-		curBuild.Store(id0)
-		record(dynEntry(id0, "initial", 0))
-		if edgeOn {
-			edge = server.DynamicEdge(cur.Load, m.rootColl, edgeCfg)
-			edge.NoteBuild(id0)
-			if opts.hotPages > 0 && opts.stop != nil {
-				go edge.RunPolicy(opts.stop, 0)
-			}
-			mux.Handle("/", edge)
-		} else {
-			mux.Handle("/", server.DynamicFrom(cur.Load, m.rootColl,
-				server.DynamicConfig{Registry: ireg, RenderTimeout: renderTimeout}))
-		}
+	mux := http.NewServeMux()
+	mux.Handle("/", c.edge)
+	var intro server.Introspector
+	if opts.dynamic {
 		// Ad-hoc queries run against the same data-graph snapshot the
 		// click-time pages see.
 		mux.Handle("/query", http.StripPrefix("/query", server.QueryHandlerFrom(
-			func() *graph.Graph { return cur.Load().Dec.Input() }, m.builder.Registry(), 0)))
+			func() *graph.Graph { return c.rend.Load().Dec.Input() }, m.builder.Registry(), 0)))
 		// Explain profiles the full query over the renderer's current
 		// data snapshot; click-time pages have no persistent provenance
 		// records (pages are computed and discarded per request).
 		intro.Explain = func() (any, error) {
-			return m.builder.ExplainData(cur.Load().Dec.Input())
-		}
-		// Incremental refresh: the mediator reports what changed, and the
-		// new renderer adopts cached pages of unaffected classes instead
-		// of starting cold. refreshLoop is the only caller, so reading
-		// cur without coordination is safe.
-		refresh = func() error {
-			t0 := time.Now()
-			prev := cur.Load()
-			r, err := m.builder.RebuildDynamic(prev)
-			if err != nil {
-				record(ledger.Entry{BuildID: telemetry.NewID("build"), Site: m.name,
-					Trigger: "interval", Mode: "failed", Err: err.Error()})
-				return err
-			}
-			warnDegraded(m.builder, logg)
-			id := telemetry.NewID("build")
-			e := dynEntry(id, "interval", float64(time.Since(t0))/float64(time.Millisecond))
-			if r != prev {
-				cur.Store(r)
-				if edge != nil {
-					// A new renderer means the data changed: resident hot
-					// bytes may be stale, so drop them and let the policy
-					// re-materialize from the new snapshot on demand.
-					edge.FlushHot()
-					edge.NoteBuild(id)
-				}
-				observed := t0
-				if rep := m.builder.LastRefresh(); rep != nil && !rep.At.IsZero() {
-					observed = rep.At
-				}
-				e.StampFreshness(observed, time.Now())
-				dataAsOf.Store(dataStamp(m.builder.LastRefresh(), observed).UnixNano())
-			} else {
-				e.Mode = "noop"
-			}
-			curBuild.Store(id)
-			record(e)
-			builtAt.Store(r.BuiltAt.UnixNano())
-			return nil
+			return m.builder.ExplainData(c.rend.Load().Dec.Input())
 		}
 	} else {
-		if reg != nil {
-			// Metrics mode also records page provenance, so
-			// /debug/provenance can answer from the served result.
-			m.builder.EnableIntrospection()
-		}
-		res, err := m.builder.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, v := range res.Violations {
-			logg.Warn("constraint violation", "build_id", res.Trace.ID, "violation", fmt.Sprint(v))
-		}
-		gen0 := 0
-		if opts.pub != nil {
-			gen0, err = opts.pub.PublishSite(res.Site, res.Trace.ID, time.Time{})
-			if err != nil {
-				return nil, nil, fmt.Errorf("publishing initial build: %w", err)
-			}
-			logg.Info("published", "build_id", res.Trace.ID, "generation", gen0, "dir", opts.pub.Dir())
-		}
-		var cur atomic.Pointer[core.Result]
-		cur.Store(res)
-		builtAt.Store(res.BuiltAt.UnixNano())
-		curBuild.Store(res.Trace.ID)
-		// The initial build's data is as fresh as its refresh stamp
-		// (when the mediator fetched), falling back to build completion.
-		dataAsOf.Store(dataStamp(res.Refresh, res.BuiltAt).UnixNano())
-		e0 := ledger.FromResult(res, "initial")
-		e0.Generation = gen0
-		record(e0)
-		if edgeOn {
-			edge = server.NewEdge(server.NewSiteSource(res.Site), edgeCfg)
-			edge.NoteBuild(res.Trace.ID)
-			if opts.hotPages > 0 && opts.stop != nil {
-				go edge.RunPolicy(opts.stop, 0)
-			}
-			mux.Handle("/", edge)
-		} else {
-			mux.Handle("/", server.StaticFrom(func() *sitegen.Site { return cur.Load().Site }))
-		}
 		mux.Handle("/query", http.StripPrefix("/query", server.QueryHandlerFrom(
-			func() *graph.Graph { return cur.Load().SiteGraph }, m.builder.Registry(), 0)))
+			func() *graph.Graph { return c.res.Load().SiteGraph }, m.builder.Registry(), 0)))
 		intro.Explain = func() (any, error) {
-			return m.builder.ExplainData(cur.Load().DataGraph)
+			return m.builder.ExplainData(c.res.Load().DataGraph)
 		}
 		intro.Provenance = func(page string) (any, bool, error) {
-			pp, ok := cur.Load().PageProvenance(page)
+			pp, ok := c.res.Load().PageProvenance(page)
 			if !ok {
 				return nil, false, nil
 			}
 			return pp, true, nil
-		}
-		// Incremental refresh: the mediator's warehouse delta decides
-		// which pages re-render; unchanged data is a noop. prev is only
-		// touched by refreshLoop (a single goroutine), so no lock.
-		prev := res
-		refresh = func() error {
-			t0 := time.Now()
-			next, err := m.builder.Rebuild(prev)
-			if err != nil {
-				record(ledger.Entry{BuildID: telemetry.NewID("build"), Site: m.name,
-					Trigger: "interval", Mode: "failed", Err: err.Error()})
-				return err
-			}
-			warnDegraded(m.builder, logg)
-			// observed is the freshness anchor: when the source change
-			// entered the pipeline (the refresh-report stamp, i.e. when
-			// the mediator started fetching), not when the rebuild ended.
-			observed := t0
-			if rep := next.Refresh; rep != nil && !rep.At.IsZero() {
-				observed = rep.At
-			}
-			changed := next.Incremental == nil || next.Incremental.Mode != "noop"
-			gen := 0
-			if opts.pub != nil && changed {
-				// Publish before swapping: the in-memory site only
-				// replaces the old one once the new generation is the
-				// committed CURRENT on disk. A failed publish (e.g.
-				// disk full) keeps serving the last published build
-				// and is retried by the refresh loop's backoff.
-				gen, err = opts.pub.PublishSite(next.Site, next.Trace.ID, time.Time{})
-				if err != nil {
-					fe := ledger.FromResult(next, "interval")
-					fe.Err = "publish: " + err.Error()
-					record(fe)
-					return fmt.Errorf("publish failed, serving last good generation: %w", err)
-				}
-				logg.Info("published", "build_id", next.Trace.ID, "generation", gen, "dir", opts.pub.Dir())
-			}
-			if info := next.Incremental; info != nil && info.Mode != "noop" {
-				logg.Info("rebuilt", "build_id", next.Trace.ID, "mode", info.Mode,
-					"summary", info.Summary())
-			}
-			cur.Store(next)
-			if edge != nil && changed {
-				// Swap the edge's snapshot: hot pages whose ETag survived
-				// the rebuild keep their resident bytes; invalidated ones
-				// re-materialize from the new site.
-				edge.SetSource(server.NewSiteSource(next.Site))
-				edge.NoteBuild(next.Trace.ID)
-			}
-			// The new ETags are servable from this instant: the result is
-			// swapped and (when edged) the edge answers from it.
-			servable := time.Now()
-			e := ledger.FromResult(next, "interval")
-			e.Generation = gen
-			if changed {
-				e.StampFreshness(observed, servable)
-			}
-			record(e)
-			curBuild.Store(next.Trace.ID)
-			dataAsOf.Store(dataStamp(next.Refresh, observed).UnixNano())
-			prev = next
-			builtAt.Store(next.BuiltAt.UnixNano())
-			return nil
 		}
 	}
 
@@ -943,41 +741,30 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		return nil
 	}
 
-	var h http.Handler = server.Shed(ireg, mode, maxInflight, server.Recover(ireg, mode, mux))
-	if ireg == nil {
-		// No telemetry at all: just the health endpoints around the
-		// serving chain — plus the ledger view when it persists to
-		// disk (the operator asked for build history explicitly).
-		outer := http.NewServeMux()
-		outer.Handle("/", h)
-		server.AttachHealth(outer, server.Health{Ready: ready})
-		if opts.ledgerDir != "" {
-			outer.Handle("/debug/ledger", led.Handler(wd))
-		}
-		return outer, refresh, nil
-	}
-	if obs.Accounting != nil {
-		obs.Accounting.SetFreshness(func() time.Time {
-			return time.Unix(0, builtAt.Load())
-		})
-		obs.Accounting.SetDataFreshness(func() time.Time {
-			if v := dataAsOf.Load(); v != 0 {
-				return time.Unix(0, v)
-			}
-			return time.Time{}
-		})
-	}
 	// Every served request carries the live build's ID into the access
 	// log and sampled traces — the serving-plane half of the ledger's
 	// cross-plane correlation.
+	buildID := func() string { return c.served.Load().id }
 	obs.BuildID = buildID
+	if obs.Accounting != nil {
+		obs.Accounting.SetFreshness(func() time.Time { return c.served.Load().builtAt })
+		obs.Accounting.SetDataFreshness(func() time.Time { return c.served.Load().dataAsOf })
+	}
+	var h http.Handler = server.Shed(ireg, mode, opts.maxInflight, server.Recover(ireg, mode, mux))
+	if ireg != nil {
+		h = server.InstrumentObserved(obs, mode, h)
+	}
 	// The debug and health endpoints mount outside the instrumented
 	// shedding chain, so /metrics, /readyz and /debug/ops stay
-	// reachable (and unaccounted) under overload.
+	// reachable (and unaccounted) under overload. With no telemetry at
+	// all, the ledger view mounts only when it persists to disk (the
+	// operator asked for build history explicitly).
 	outer := http.NewServeMux()
-	outer.Handle("/", server.InstrumentObserved(obs, mode, h))
+	outer.Handle("/", h)
 	server.AttachHealth(outer, server.Health{Ready: ready})
-	outer.Handle("/debug/ledger", led.Handler(wd))
+	if ireg != nil || opts.ledgerDir != "" {
+		outer.Handle("/debug/ledger", led.Handler(wd))
+	}
 	if reg != nil {
 		server.AttachDebug(outer, reg)
 		server.AttachIntrospection(outer, intro)
@@ -986,7 +773,7 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		opsSurface.Mode = mode
 		opsSurface.Ready = ready
 		opsSurface.BuildID = buildID
-		opsSurface.Edge = edge
+		opsSurface.Edge = c.edge
 		opsSurface.LastBuild = func() any {
 			if e, ok := led.Last(); ok {
 				return e
@@ -995,7 +782,210 @@ func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, e
 		}
 		server.AttachOps(outer, opsSurface)
 	}
-	return outer, refresh, nil
+	return outer, c, nil
+}
+
+// cycle is the one refresh sequence of `strudel serve`, in both
+// serving modes; the initial build is simply its first step. A step
+// rebuilds from the sources and swaps the result into the edge — the
+// only mode-specific half — then records itself once on every plane
+// that observes it: the ledger and its watchdog, the freshness stamp,
+// the edge's build info, and the served build.
+type cycle struct {
+	b     *core.Builder
+	site  string
+	edge  *server.Edge
+	pub   *publish.Publisher // nil: no publication
+	led   *ledger.Ledger
+	wd    *ledger.Watchdog
+	clock resilience.Clock
+	logg  *slog.Logger
+	swap  func(trigger string, t0 time.Time) (swapped, error)
+
+	// The live snapshot: a build result in static mode, a click-time
+	// renderer in dynamic mode. Only step writes them.
+	res    atomic.Pointer[core.Result]
+	rend   atomic.Pointer[incremental.Renderer]
+	served atomic.Pointer[servedBuild]
+	// scratch makes the next step rebuild from nothing, as any failed
+	// step may leave the mediator holding a change the edge never got:
+	// rebuilt against the live snapshot, that change is no delta.
+	scratch bool
+}
+
+// servedBuild names the build the edge answers from, when it was
+// built or re-validated, and when its data was last observed at the
+// sources — the inputs of per-page staleness. step replaces it whole.
+type servedBuild struct {
+	id                string
+	builtAt, dataAsOf time.Time
+}
+
+// swapped is what a mode's rebuild-and-swap half hands back to step.
+type swapped struct {
+	entry      ledger.Entry
+	changed    bool // the served content changed
+	builtAt    time.Time
+	violations []error
+}
+
+// newCycle wires a site's refresh cycle and the edge it serves. pub
+// and led bring the filesystem; clock stamps each step and paces run.
+func newCycle(m *manifest, dynamic bool, cfg server.EdgeConfig, pub *publish.Publisher,
+	led *ledger.Ledger, wd *ledger.Watchdog, clock resilience.Clock, logg *slog.Logger) *cycle {
+	c := &cycle{b: m.builder, site: m.name, pub: pub, led: led, wd: wd, clock: clock, logg: logg}
+	if dynamic {
+		c.edge = server.DynamicEdge(c.rend.Load, m.rootColl, cfg)
+		c.swap = c.swapDynamic
+	} else {
+		c.edge = server.NewEdge(nil, cfg)
+		c.swap = c.swapStatic
+	}
+	return c
+}
+
+// step runs one refresh cycle; trigger ("initial", "interval") labels
+// its ledger entry. A failed step records the failure and keeps the
+// edge on the last good snapshot.
+func (c *cycle) step(trigger string) error {
+	t0 := c.clock.Now()
+	s, err := c.swap(trigger, t0)
+	if err != nil {
+		c.scratch = true
+		if s.entry.BuildID == "" {
+			s.entry = ledger.Entry{BuildID: telemetry.NewID("build"), Site: c.site,
+				Trigger: trigger, Mode: "failed", Err: err.Error()}
+		}
+		c.record(s.entry)
+		return err
+	}
+	c.scratch = false
+	// The new ETags are servable from this instant: the edge answers
+	// from the swapped snapshot.
+	servable := c.clock.Now()
+	rep := c.b.LastRefresh()
+	if rep != nil && !rep.Ok() {
+		c.logg.Warn("refresh degraded", "summary", rep.Summary())
+	}
+	if s.changed {
+		for _, v := range s.violations {
+			c.logg.Warn("constraint violation", "build_id", s.entry.BuildID, "violation", fmt.Sprint(v))
+		}
+		if trigger != "initial" {
+			// observed is the freshness anchor: when the source change
+			// entered the pipeline (the mediator's refresh stamp), not
+			// when the rebuild ended. The initial build brings the site
+			// up rather than propagating a change into it.
+			observed := t0
+			if rep != nil && !rep.At.IsZero() {
+				observed = rep.At
+			}
+			s.entry.StampFreshness(observed, servable)
+		}
+	}
+	c.record(s.entry)
+	c.edge.NoteBuild(s.entry.BuildID)
+	c.served.Store(&servedBuild{id: s.entry.BuildID, builtAt: s.builtAt, dataAsOf: dataStamp(rep, t0)})
+	return nil
+}
+
+// swapStatic rebuilds the materialized site incrementally and, when it
+// changed, publishes it and then swaps it into the edge: the edge only
+// moves to a new build once that build is the committed CURRENT
+// generation on disk. Hot pages whose ETag survived keep their
+// resident bytes; invalidated ones re-materialize from the new site.
+func (c *cycle) swapStatic(trigger string, _ time.Time) (swapped, error) {
+	prev := c.res.Load()
+	if c.scratch {
+		prev = nil
+	}
+	next, err := c.b.Rebuild(prev)
+	if err != nil {
+		return swapped{}, err
+	}
+	s := swapped{
+		entry:      ledger.FromResult(next, trigger),
+		changed:    next.Incremental == nil || next.Incremental.Mode != "noop",
+		builtAt:    next.BuiltAt,
+		violations: next.Violations,
+	}
+	if s.changed && c.pub != nil {
+		gen, err := c.pub.PublishSite(next.Site, next.Trace.ID, time.Time{})
+		if err != nil {
+			s.entry.Err = "publish: " + err.Error()
+			return s, fmt.Errorf("publish failed: %w", err)
+		}
+		s.entry.Generation = gen
+		c.logg.Info("published", "build_id", next.Trace.ID, "generation", gen, "dir", c.pub.Dir())
+	}
+	if info := next.Incremental; s.changed && info != nil {
+		c.logg.Info("rebuilt", "build_id", next.Trace.ID, "mode", info.Mode, "summary", info.Summary())
+	}
+	c.res.Store(next)
+	if s.changed {
+		c.edge.SetSource(server.NewSiteSource(next.Site))
+	}
+	return s, nil
+}
+
+// swapDynamic refreshes the click-time renderer, which adopts cached
+// pages of classes the data delta cannot affect. A new renderer means
+// the data changed, so the edge drops its resident bytes. Click-time
+// rendering has no core.Result: the step gets a fresh build ID and a
+// ledger entry carrying the mediator's per-source outcomes.
+func (c *cycle) swapDynamic(trigger string, t0 time.Time) (swapped, error) {
+	prev := c.rend.Load()
+	if c.scratch {
+		prev = nil
+	}
+	r, err := c.b.RebuildDynamic(prev)
+	if err != nil {
+		return swapped{}, err
+	}
+	s := swapped{changed: r != prev, builtAt: r.BuiltAt}
+	s.entry = ledger.Entry{BuildID: telemetry.NewID("build"), Site: c.site, Trigger: trigger,
+		Mode: "dynamic", TotalMs: float64(c.clock.Now().Sub(t0)) / float64(time.Millisecond)}
+	if rep := c.b.LastRefresh(); rep != nil {
+		s.entry.Sources = ledger.SourceRecords(rep)
+		s.entry.Data = ledger.DeltaSizeOf(rep.Warehouse)
+	}
+	if !s.changed {
+		s.entry.Mode = "noop"
+		return s, nil
+	}
+	c.rend.Store(r)
+	c.edge.FlushHot()
+	return s, nil
+}
+
+// record appends a step's entry to the build ledger and feeds the
+// watchdog.
+func (c *cycle) record(e ledger.Entry) {
+	if _, err := c.led.Append(e); err != nil {
+		c.logg.Warn("build ledger append failed", "err", err)
+	}
+	c.wd.Observe(e)
+}
+
+// run steps the cycle every interval until stop closes. A failed step
+// backs off exponentially, capped at 10× the interval, so a broken
+// source set is not hammered; the edge keeps answering from the last
+// good snapshot throughout.
+func (c *cycle) run(interval time.Duration, stop <-chan struct{}) {
+	delay := interval
+	for {
+		select {
+		case <-stop:
+			return
+		case <-c.clock.After(delay):
+		}
+		if err := c.step("interval"); err != nil {
+			c.logg.Error("refresh failed, serving stale data", "err", err)
+			delay = min(delay*2, 10*interval)
+		} else {
+			delay = interval
+		}
+	}
 }
 
 // dataStamp is the "data as of" provenance stamp for a refresh: the
@@ -1014,14 +1004,6 @@ func dataStamp(rep *mediator.RefreshReport, fallback time.Time) time.Time {
 		}
 	}
 	return stamp
-}
-
-// warnDegraded logs which sources the last refresh served from stale
-// data, so operators see partial failures that did not stop the build.
-func warnDegraded(b *core.Builder, logg *slog.Logger) {
-	if rep := b.LastRefresh(); rep != nil && !rep.Ok() {
-		logg.Warn("refresh degraded", "summary", rep.Summary())
-	}
 }
 
 func cmdStats(args []string) error {

@@ -210,7 +210,9 @@ func TestServeHandlerPublishesGenerations(t *testing.T) {
 // TestServeHandlerPublishFailureKeepsServing: when the refresh's
 // publication fails (disk full), the refresh reports the error and the
 // server keeps serving the previous build — the swap never happens
-// before the commit.
+// before the commit. Once the disk recovers, the next refresh publishes
+// and serves the edit the failed one could not: the mediator absorbed
+// it during the failed refresh, so only a rebuild from scratch sees it.
 func TestServeHandlerPublishFailureKeepsServing(t *testing.T) {
 	dir := writeTestSite(t)
 	out := filepath.Join(dir, "published")
@@ -258,6 +260,26 @@ func TestServeHandlerPublishFailureKeepsServing(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(served), "Alpha") || strings.Contains(string(served), "Gamma") {
 		t.Fatalf("server swapped to an uncommitted build: %q", served)
+	}
+
+	fault.LimitBytes(-1)
+	if err := refresh(); err != nil {
+		t.Fatalf("refresh after the disk recovered: %v", err)
+	}
+	if gdir3, _ := publish.Current(nil, out); filepath.Base(gdir3) != "gen-1" {
+		t.Fatalf("recovered refresh left CURRENT at %s, want gen-1", gdir3)
+	}
+	if code := cmdVerify([]string{out}); code != 0 {
+		t.Fatalf("verify after the recovered refresh = %d, want 0", code)
+	}
+	resp, err = http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(served), "Gamma") {
+		t.Fatalf("recovered refresh does not serve the edit: %q", served)
 	}
 }
 

@@ -18,6 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"strudel/internal/ledger"
+	"strudel/internal/mediator"
+	"strudel/internal/resilience"
 	"strudel/internal/server"
 	"strudel/internal/telemetry"
 )
@@ -265,6 +268,73 @@ func TestServeReadyAfterDegradedRefresh(t *testing.T) {
 	}
 	if !snap.Ready {
 		t.Errorf("ops snapshot not ready after degraded refresh: %q", snap.ReadyReason)
+	}
+}
+
+// TestServeNoopRefreshRevalidates: a refresh that finds every source
+// fresh and unchanged still re-validates the served data, in both
+// modes. It moves the build ID on every plane — the ledger, /debug/ops
+// and the edge's build info — and data staleness restarts from the
+// refresh's observation. The mediator runs on a fake clock set two
+// hours back and advanced one hour before the refresh, so the served
+// data is exactly one hour old (plus the test's own run time).
+func TestServeNoopRefreshRevalidates(t *testing.T) {
+	for _, mode := range []string{"static", "dynamic"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := writeTestSite(t)
+			m, err := loadManifest(filepath.Join(dir, "site.manifest"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := resilience.NewFakeClock(time.Now().Add(-2 * time.Hour))
+			m.builder.SetResilience(mediator.Resilience{Clock: clock})
+			reg := telemetry.NewRegistry()
+			h, refresh, err := serveHandler(m, serveOptions{
+				dynamic: mode == "dynamic", reg: reg, ops: true, hotPages: 4, logg: discardLogger(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+			clock.Advance(time.Hour)
+			if err := refresh(); err != nil {
+				t.Fatal(err)
+			}
+			if code, _ := getStatus(t, srv, "/"); code != 200 {
+				t.Fatalf("/ = %d", code)
+			}
+			_, body := getStatus(t, srv, "/debug/ops")
+			var snap server.OpsSnapshot
+			if err := json.Unmarshal([]byte(body), &snap); err != nil {
+				t.Fatal(err)
+			}
+			var last ledger.Entry
+			if err := json.Unmarshal(snap.LastBuild, &last); err != nil {
+				t.Fatal(err)
+			}
+			if last.Mode != "noop" || snap.BuildID != last.BuildID {
+				t.Errorf("ops build %q, newest ledger entry %s %q: want the noop refresh's build",
+					snap.BuildID, last.Mode, last.BuildID)
+			}
+			_, metrics := getStatus(t, srv, "/metrics")
+			if !strings.Contains(metrics, `strudel_edge_build_info{build_id="`+last.BuildID+`"`) {
+				t.Errorf("edge build info lags the noop refresh %q:\n%s", last.BuildID, grepLines(metrics, "build_info"))
+			}
+			var root *server.PageStats
+			for i, p := range snap.Accounting.Pages {
+				if p.Path == "/" {
+					root = &snap.Accounting.Pages[i]
+				}
+			}
+			if root == nil {
+				t.Fatalf("no accounting row for /: %+v", snap.Accounting.Pages)
+			}
+			if d := root.DataStalenessSeconds - time.Hour.Seconds(); d < 0 || d > 60 {
+				t.Errorf("data staleness = %.3fs, want one hour: the noop refresh observed every source fresh",
+					root.DataStalenessSeconds)
+			}
+		})
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"strudel/internal/core"
+	"strudel/internal/incremental"
 	"strudel/internal/server"
 	"strudel/internal/workload"
 )
@@ -60,7 +61,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv := httptest.NewServer(server.Dynamic(renderer, spec.RootCollection))
+	srv := httptest.NewServer(server.DynamicEdge(func() *incremental.Renderer { return renderer },
+		spec.RootCollection, server.EdgeConfig{}))
 	defer srv.Close()
 	fmt.Printf("dynamic:      ready in %v (decomposition only)\n", time.Since(t1))
 

@@ -138,7 +138,7 @@ func TestStaticServingMatchesFiles(t *testing.T) {
 	if err := res.Site.WriteTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(server.Static(res.Site))
+	srv := httptest.NewServer(server.NewEdge(server.NewSiteSource(res.Site), server.EdgeConfig{}))
 	defer srv.Close()
 	for _, path := range res.Site.Paths() {
 		resp, err := http.Get(srv.URL + "/" + path)
@@ -279,7 +279,7 @@ func TestMediatedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(server.Dynamic(r, spec.RootCollection))
+	srv := httptest.NewServer(server.DynamicEdge(func() *incremental.Renderer { return r }, spec.RootCollection, server.EdgeConfig{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/")
 	if err != nil {

@@ -270,6 +270,9 @@ func (b *Builder) SetTelemetry(reg *telemetry.Registry) {
 // Stats reports what a build did. The phase durations are the
 // durations of the corresponding spans of the build trace (see
 // Result.Trace), so a printed trace timeline and Stats always agree.
+// The one exception is Rebuild's MediationTime: Rebuild mediates
+// before its trace opens, so it times the refresh itself, and that
+// time is not part of TotalTime.
 type Stats struct {
 	DataNodes, DataEdges int
 	SiteNodes, SiteEdges int

@@ -116,7 +116,7 @@ func (b *Builder) deltaPages(action string) *telemetry.Counter {
 func (b *Builder) countRebuild(mode string) {
 	if b.telem != nil {
 		b.telem.Counter("strudel_delta_rebuilds_total",
-			"Incremental rebuilds, by mode (noop, selective, full).",
+			"Incremental rebuilds, by mode (noop, selective, differential, full).",
 			"mode", mode).Inc()
 	}
 }
@@ -143,11 +143,19 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 		// what changed.
 		return b.Build()
 	}
+	// Mediation runs before rebuildFrom opens the rebuild trace, so it
+	// is timed here rather than as a span of it.
+	t0, a0 := time.Now(), telemetry.AllocBytes()
 	data, report, err := b.med.RefreshWithReport()
 	if err != nil {
 		return nil, err
 	}
-	return b.rebuildFrom(prev, data, report, report.Warehouse)
+	medTime, medAlloc := time.Since(t0), telemetry.AllocBytes()-a0
+	res, err := b.rebuildFrom(prev, data, report, report.Warehouse)
+	if res != nil {
+		res.Stats.MediationTime, res.Stats.MediationAlloc = medTime, medAlloc
+	}
+	return res, err
 }
 
 // RebuildWithDelta rebuilds incrementally from an explicitly supplied

@@ -243,8 +243,19 @@ func (p *Publisher) Publish(files map[string]string, id string, at time.Time) (i
 		return 0, fmt.Errorf("publish: generation %d: fsync %s: %w", gen, p.dir, err)
 	}
 
-	// Commit point: flip CURRENT.
-	if err := fsx.WriteFileDurable(p.fsys, filepath.Join(p.dir, CurrentName), []byte(genName(gen)+"\n"), 0o644); err != nil {
+	// Commit point: flip CURRENT. The flip's rename can land before its
+	// directory fsync fails; point CURRENT back (best effort) so a failed
+	// publish never leaves the new generation live. Recover treats that
+	// generation as staged but never committed.
+	cur := filepath.Join(p.dir, CurrentName)
+	prev, prevErr := fsx.ReadFile(p.fsys, cur)
+	if err := fsx.WriteFileDurable(p.fsys, cur, []byte(genName(gen)+"\n"), 0o644); err != nil {
+		switch {
+		case prevErr == nil:
+			fsx.WriteFileDurable(p.fsys, cur, prev, 0o644)
+		case errors.Is(prevErr, fs.ErrNotExist):
+			p.fsys.Remove(cur)
+		}
 		return 0, fmt.Errorf("publish: generation %d: committing CURRENT: %w", gen, err)
 	}
 

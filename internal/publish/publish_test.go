@@ -320,6 +320,43 @@ func TestEIOOnFsyncFailsPublish(t *testing.T) {
 	}
 }
 
+// TestEIOAfterCommitRenameFailsPublish: when the directory fsync that
+// follows CURRENT's rename fails, the rename is already visible. The
+// publish reports the error, so CURRENT must point back at the old
+// generation: on error nothing is committed.
+func TestEIOAfterCommitRenameFailsPublish(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := New(fsx.OS, dir, 2).Publish(siteV1, "", time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	probe := fsx.NewFaultFS(fsx.OS)
+	probe.CrashAt(0) // drop every op: count them without publishing
+	New(probe, dir, 2).Publish(siteV2, "", time.Time{})
+	last := -1
+	for i, op := range probe.Journal() {
+		if strings.Contains(op, " rename ") && strings.HasSuffix(op, CurrentName) {
+			last = i + 1 // the directory fsync right after the flip
+		}
+	}
+	if last < 0 {
+		t.Fatalf("no CURRENT flip in journal:\n%s", strings.Join(probe.Journal(), "\n"))
+	}
+	fault := fsx.NewFaultFS(fsx.OS)
+	fault.FailAt(last, syscall.EIO)
+	if _, err := New(fault, dir, 2).Publish(siteV2, "", time.Time{}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("err = %v, want EIO\njournal:\n%s", err, strings.Join(fault.Journal(), "\n"))
+	}
+	if got := pagesOf(t, dir); !sameSite(got, siteV1) {
+		t.Fatalf("failed commit left the new site live: %v", got)
+	}
+	if _, err := Recover(fsx.OS, dir); err != nil {
+		t.Fatal(err)
+	}
+	if rep, _ := Verify(fsx.OS, dir); !rep.OK() || rep.Current != "gen-0" {
+		t.Fatalf("after recover: current %s\n%s", rep.Current, rep.Summary())
+	}
+}
+
 // TestConcurrentReadersDuringPublish drives OpenSite from several
 // goroutines while generations are being published and requires every
 // read to return one of the published versions in full — never a torn

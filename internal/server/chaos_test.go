@@ -80,7 +80,7 @@ func TestChaosFlakySourceServesStale(t *testing.T) {
 	}
 	var cur atomic.Pointer[incremental.Renderer]
 	cur.Store(r0)
-	srv := httptest.NewServer(DynamicFrom(cur.Load, "Roots", DynamicConfig{}))
+	srv := httptest.NewServer(DynamicEdge(cur.Load, "Roots", EdgeConfig{}))
 	defer srv.Close()
 	if code, body := get(t, srv, "/"); code != 200 || !strings.Contains(body, "Alpha") {
 		t.Fatalf("healthy / = %d %q", code, body)
@@ -174,7 +174,7 @@ func TestChaosHangingSourceKeepsServing(t *testing.T) {
 	}
 	var cur atomic.Pointer[incremental.Renderer]
 	cur.Store(r0)
-	srv := httptest.NewServer(DynamicFrom(cur.Load, "Roots", DynamicConfig{}))
+	srv := httptest.NewServer(DynamicEdge(cur.Load, "Roots", EdgeConfig{}))
 	defer srv.Close()
 
 	start := time.Now()
@@ -208,8 +208,8 @@ func TestChaosHangingSourceKeepsServing(t *testing.T) {
 func TestChaosSheddingBoundsQueue(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r, gate := hangingRenderer(t)
-	h := Shed(reg, "dynamic", 2, DynamicFrom(
-		func() *incremental.Renderer { return r }, "Roots", DynamicConfig{}))
+	h := Shed(reg, "dynamic", 2, DynamicEdge(
+		func() *incremental.Renderer { return r }, "Roots", EdgeConfig{}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -78,9 +78,6 @@ func NewSiteSource(site *sitegen.Site) *SiteSource {
 	return &SiteSource{site: site}
 }
 
-// Site returns the wrapped snapshot.
-func (s *SiteSource) Site() *sitegen.Site { return s.site }
-
 // Resolve implements Source: "/" is index.html when present, else the
 // generated listing; every other path must name a page exactly.
 func (s *SiteSource) Resolve(path string) (string, bool) {
@@ -236,8 +233,9 @@ func (s *rendererSource) renderRoot(ctx context.Context, r *incremental.Renderer
 // pages run their decomposed query per request (bounded by
 // cfg.RenderTimeout), hot pages — when cfg.HotPages and
 // cfg.Accounting are wired — hold rendered bytes resident and answer
-// conditional requests without rendering. The getter semantics match
-// DynamicFrom. Call FlushHot after an in-place data refresh.
+// conditional requests without rendering. The getter is re-read per
+// request, so a refresher can swap in a renderer over fresh data while
+// requests are in flight. Call FlushHot after a data refresh.
 func DynamicEdge(get func() *incremental.Renderer, rootCollection string, cfg EdgeConfig) *Edge {
 	if cfg.Mode == "" {
 		cfg.Mode = "dynamic"

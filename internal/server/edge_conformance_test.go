@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"strudel/internal/datadef"
+	"strudel/internal/incremental"
 	"strudel/internal/sitegen"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -114,7 +115,7 @@ func TestHTTPConformance(t *testing.T) {
 		},
 		{
 			name:     "dynamic",
-			handler:  Dynamic(renderer, "Roots"),
+			handler:  DynamicEdge(func() *incremental.Renderer { return renderer }, "Roots", EdgeConfig{}),
 			pagePath: "/page/YearPage%281997%29",
 			pageBody: yearBody,
 			missing:  "/page/YearPage%282050%29",

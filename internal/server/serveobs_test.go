@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"strudel/internal/incremental"
 	"strudel/internal/mediator"
 	"strudel/internal/resilience"
 	"strudel/internal/telemetry"
@@ -500,7 +501,7 @@ func TestRequestSpanReachesRenderer(t *testing.T) {
 	tracer := telemetry.NewRequestTracer(1, 8) // trace every request
 	reg := telemetry.NewRegistry()
 	h := InstrumentObserved(Observability{Registry: reg, Tracer: tracer},
-		"dynamic", Dynamic(rend, "Roots"))
+		"dynamic", DynamicEdge(func() *incremental.Renderer { return rend }, "Roots", EdgeConfig{}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -3,7 +3,9 @@
 // the completely materialized site's pages are served from memory —
 // and dynamic — only the root is precomputed, and each click runs the
 // page's decomposed query at request time, with query-result caching
-// to reduce click time.
+// to reduce click time. Both modes serve through one page handler,
+// the Edge (edge.go): NewEdge over a SiteSource for a materialized
+// site, DynamicEdge for click-time pages.
 //
 // Observability: Instrument wraps a handler with request counting and
 // latency histograms per serving mode, and AttachDebug exposes the
@@ -14,100 +16,13 @@ package server
 
 import (
 	"expvar"
-	"fmt"
-	"html"
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 	"time"
 
-	"strudel/internal/incremental"
-	"strudel/internal/resilience"
-	"strudel/internal/sitegen"
 	"strudel/internal/telemetry"
 )
-
-// Static returns a handler serving a materialized site. "/" serves
-// index.html when present, else a page listing.
-func Static(site *sitegen.Site) http.Handler {
-	return StaticFrom(func() *sitegen.Site { return site })
-}
-
-// StaticFrom serves whatever site the getter currently returns. A
-// background refresher can atomically swap in a newly built site (via
-// an atomic pointer in the getter) while requests are in flight; each
-// request sees one consistent site snapshot.
-//
-// Responses carry the page's provenance-keyed ETag (when the site was
-// built with one), Content-Length, and honor If-None-Match and HEAD.
-// For the materializing byte cache and precompressed variants, serve
-// through an Edge instead (NewEdge + SetSource).
-func StaticFrom(get func() *sitegen.Site) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		site := get()
-		path := strings.TrimPrefix(r.URL.Path, "/")
-		if path == "" {
-			path = "index.html"
-		}
-		page, ok := site.Pages[path]
-		if !ok {
-			if r.URL.Path == "/" {
-				writeListing(w, r, site)
-				return
-			}
-			http.NotFound(w, r)
-			return
-		}
-		if page.ETag != "" {
-			w.Header().Set("ETag", page.ETag)
-			if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, page.ETag) {
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-		}
-		body := []byte(page.HTML)
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		if r.Method == http.MethodHead {
-			return
-		}
-		w.Write(body)
-	})
-	return mux
-}
-
-// writeListing answers "/" when the site has no index.html: a buffered
-// page listing with Content-Length, a bytes-keyed ETag, and no body on
-// HEAD.
-func writeListing(w http.ResponseWriter, r *http.Request, site *sitegen.Site) {
-	var b strings.Builder
-	b.WriteString("<html><body><h1>Site</h1><ul>")
-	for _, p := range site.Paths() {
-		fmt.Fprintf(&b, "<li><a href=%q>%s</a></li>", "/"+p, html.EscapeString(p))
-	}
-	b.WriteString("</ul></body></html>")
-	body := b.String()
-	etag := sitegen.BytesETag(body)
-	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if r.Method == http.MethodHead {
-		return
-	}
-	io.WriteString(w, body)
-}
 
 // internalError answers a failed request without leaking the error
 // into the response body: the client gets a generic page, and the
@@ -122,53 +37,6 @@ func internalError(w http.ResponseWriter, r *http.Request, reg *telemetry.Regist
 			"mode", mode).Inc()
 	}
 	http.Error(w, "internal error", http.StatusInternalServerError)
-}
-
-// Dynamic returns a handler computing pages at click time. "/" renders
-// the first root of the given collection; "/page/<key>" renders the
-// page with that key (keys are discovered during browsing, starting
-// from the roots, exactly as a user could only reach pages by
-// following links).
-func Dynamic(r *incremental.Renderer, rootCollection string) http.Handler {
-	return DynamicWith(r, rootCollection, nil)
-}
-
-// DynamicWith is Dynamic with render errors counted in a telemetry
-// registry (which may be nil).
-func DynamicWith(r *incremental.Renderer, rootCollection string, reg *telemetry.Registry) http.Handler {
-	return DynamicFrom(func() *incremental.Renderer { return r }, rootCollection,
-		DynamicConfig{Registry: reg})
-}
-
-// DynamicConfig tunes a dynamic click-time handler.
-type DynamicConfig struct {
-	// Registry counts render errors and timeouts (may be nil).
-	Registry *telemetry.Registry
-	// RenderTimeout bounds each page computation; a click-time query
-	// that hangs (e.g. over a degraded data graph) answers 504 after
-	// the deadline instead of pinning the connection. 0 disables.
-	RenderTimeout time.Duration
-	// Clock drives the deadline; nil means the wall clock.
-	Clock resilience.Clock
-}
-
-// DynamicFrom serves click-time pages from whatever renderer the
-// getter currently returns, so a background refresher can atomically
-// swap in a renderer over fresh data while requests are in flight.
-// Each request resolves the renderer once and uses it throughout — a
-// consistent snapshot even mid-swap.
-//
-// The handler is a serving edge (see edge.go) without a byte cache:
-// every page renders at click time, with post-render If-None-Match
-// comparison so conditional clients save the transfer. To materialize
-// hot pages too, build the edge yourself with DynamicEdge.
-func DynamicFrom(get func() *incremental.Renderer, rootCollection string, cfg DynamicConfig) http.Handler {
-	return DynamicEdge(get, rootCollection, EdgeConfig{
-		Mode:          "dynamic",
-		Registry:      cfg.Registry,
-		RenderTimeout: cfg.RenderTimeout,
-		Clock:         cfg.Clock,
-	})
 }
 
 // statusWriter captures the response status and body byte count for

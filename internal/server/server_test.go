@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,7 +39,7 @@ func TestStaticServer(t *testing.T) {
 		"index.html": {Path: "index.html", HTML: "<h1>Home</h1>"},
 		"a.html":     {Path: "a.html", HTML: "<h1>A</h1>"},
 	}}
-	srv := httptest.NewServer(Static(site))
+	srv := httptest.NewServer(NewEdge(NewSiteSource(site), EdgeConfig{}))
 	defer srv.Close()
 	if code, body := get(t, srv, "/"); code != 200 || body != "<h1>Home</h1>" {
 		t.Errorf("/ = %d %q", code, body)
@@ -57,7 +56,7 @@ func TestStaticServerListingWithoutIndex(t *testing.T) {
 	site := &sitegen.Site{Pages: map[string]*sitegen.Page{
 		"a.html": {Path: "a.html", HTML: "A"},
 	}}
-	srv := httptest.NewServer(Static(site))
+	srv := httptest.NewServer(NewEdge(NewSiteSource(site), EdgeConfig{}))
 	defer srv.Close()
 	code, body := get(t, srv, "/")
 	if code != 200 || !strings.Contains(body, `href="/a.html"`) {
@@ -100,7 +99,8 @@ LINK YearPage(y) -> "Year" -> y,
 }
 
 func TestDynamicServerClickThrough(t *testing.T) {
-	srv := httptest.NewServer(Dynamic(dynamicRenderer(t), "Roots"))
+	r := dynamicRenderer(t)
+	srv := httptest.NewServer(DynamicEdge(func() *incremental.Renderer { return r }, "Roots", EdgeConfig{}))
 	defer srv.Close()
 	// Root renders with links to year pages.
 	code, body := get(t, srv, "/")
@@ -126,7 +126,7 @@ func TestDynamicServerClickThrough(t *testing.T) {
 
 func TestDynamicServerCachesPages(t *testing.T) {
 	r := dynamicRenderer(t)
-	srv := httptest.NewServer(Dynamic(r, "Roots"))
+	srv := httptest.NewServer(DynamicEdge(func() *incremental.Renderer { return r }, "Roots", EdgeConfig{}))
 	defer srv.Close()
 	get(t, srv, "/")
 	get(t, srv, "/page/YearPage%281997%29")
@@ -159,7 +159,8 @@ func brokenRenderer(t *testing.T) *incremental.Renderer {
 // the response body — and is counted in the telemetry registry.
 func TestDynamicServerRenderErrorIs500(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(DynamicWith(brokenRenderer(t), "Roots", reg))
+	r := brokenRenderer(t)
+	srv := httptest.NewServer(DynamicEdge(func() *incremental.Renderer { return r }, "Roots", EdgeConfig{Registry: reg}))
 	defer srv.Close()
 	code, body := get(t, srv, "/")
 	if code != 500 {
@@ -187,7 +188,7 @@ func TestInstrumentAndMetricsEndpoint(t *testing.T) {
 	}}
 	reg := telemetry.NewRegistry()
 	mux := http.NewServeMux()
-	mux.Handle("/", Instrument(reg, "static", Static(site)))
+	mux.Handle("/", Instrument(reg, "static", NewEdge(NewSiteSource(site), EdgeConfig{})))
 	AttachDebug(mux, reg)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -378,8 +379,8 @@ func TestDynamicRenderDeadline(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r, gate := hangingRenderer(t)
 	defer close(gate)
-	h := DynamicFrom(func() *incremental.Renderer { return r }, "Roots",
-		DynamicConfig{Registry: reg, RenderTimeout: 20 * time.Millisecond})
+	h := DynamicEdge(func() *incremental.Renderer { return r }, "Roots",
+		EdgeConfig{Registry: reg, RenderTimeout: 20 * time.Millisecond})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	code, body := get(t, srv, "/")
@@ -437,21 +438,20 @@ func TestServeUntilGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestStaticFromSwapsAtomically: swapping the site pointer mid-serving
-// switches responses without restart.
+// TestStaticFromSwapsAtomically: swapping the site snapshot
+// mid-serving switches responses without restart.
 func TestStaticFromSwapsAtomically(t *testing.T) {
-	var cur atomic.Pointer[sitegen.Site]
-	cur.Store(&sitegen.Site{Pages: map[string]*sitegen.Page{
+	edge := NewEdge(NewSiteSource(&sitegen.Site{Pages: map[string]*sitegen.Page{
 		"index.html": {Path: "index.html", HTML: "v1"},
-	}})
-	srv := httptest.NewServer(StaticFrom(cur.Load))
+	}}), EdgeConfig{})
+	srv := httptest.NewServer(edge)
 	defer srv.Close()
 	if _, body := get(t, srv, "/"); body != "v1" {
 		t.Fatalf("body = %q", body)
 	}
-	cur.Store(&sitegen.Site{Pages: map[string]*sitegen.Page{
+	edge.SetSource(NewSiteSource(&sitegen.Site{Pages: map[string]*sitegen.Page{
 		"index.html": {Path: "index.html", HTML: "v2"},
-	}})
+	}}))
 	if _, body := get(t, srv, "/"); body != "v2" {
 		t.Fatalf("after swap body = %q", body)
 	}

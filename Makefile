@@ -5,7 +5,7 @@
 # parallel-build determinism suite.
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke chaos crash testpar fuzz load soak ledger check explain-demo
+.PHONY: build test vet race bench bench-smoke bench-e2e chaos crash testpar fuzz load soak ledger check explain-demo
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,24 @@ bench:
 # fails CI instead of rotting until the next manual `make bench`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# End-to-end benchmark gate at full scale: one short untraced run of
+# every BENCHMARK.json workload through e2ebench/run.sh. It times
+# nothing and bounds no metric; it fails unless each run's final JSON
+# line reports "correct":true and "failed":0. (The e2ebench package
+# test checks the same gate at 120 records.)
+BENCH_E2E_WORKLOADS := $(shell sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
+bench-e2e:
+	@test -n "$(BENCH_E2E_WORKLOADS)" || { echo "bench-e2e: no workloads found in BENCHMARK.json"; exit 1; }
+	@set -e; for w in $(BENCH_E2E_WORKLOADS); do \
+		echo "== $$w"; \
+		line=$$(bash e2ebench/run.sh --workload $$w --seconds 3 --seed 1 | tail -n 1); \
+		echo "$$line"; \
+		case "$$line" in \
+		*'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "bench-e2e: $$w failed its correctness gate"; exit 1;; \
+		esac; \
+	done
 
 # Fault-injection suite: flaky/hanging sources and overload against
 # the full serving stack, twice, under the race detector.

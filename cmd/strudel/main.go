@@ -807,10 +807,6 @@ type cycle struct {
 	res    atomic.Pointer[core.Result]
 	rend   atomic.Pointer[incremental.Renderer]
 	served atomic.Pointer[servedBuild]
-	// scratch makes the next step rebuild from nothing, as any failed
-	// step may leave the mediator holding a change the edge never got:
-	// rebuilt against the live snapshot, that change is no delta.
-	scratch bool
 }
 
 // servedBuild names the build the edge answers from, when it was
@@ -851,7 +847,6 @@ func (c *cycle) step(trigger string) error {
 	t0 := c.clock.Now()
 	s, err := c.swap(trigger, t0)
 	if err != nil {
-		c.scratch = true
 		if s.entry.BuildID == "" {
 			s.entry = ledger.Entry{BuildID: telemetry.NewID("build"), Site: c.site,
 				Trigger: trigger, Mode: "failed", Err: err.Error()}
@@ -859,7 +854,6 @@ func (c *cycle) step(trigger string) error {
 		c.record(s.entry)
 		return err
 	}
-	c.scratch = false
 	// The new ETags are servable from this instant: the edge answers
 	// from the swapped snapshot.
 	servable := c.clock.Now()
@@ -896,9 +890,6 @@ func (c *cycle) step(trigger string) error {
 // resident bytes; invalidated ones re-materialize from the new site.
 func (c *cycle) swapStatic(trigger string, _ time.Time) (swapped, error) {
 	prev := c.res.Load()
-	if c.scratch {
-		prev = nil
-	}
 	next, err := c.b.Rebuild(prev)
 	if err != nil {
 		return swapped{}, err
@@ -935,9 +926,6 @@ func (c *cycle) swapStatic(trigger string, _ time.Time) (swapped, error) {
 // ledger entry carrying the mediator's per-source outcomes.
 func (c *cycle) swapDynamic(trigger string, t0 time.Time) (swapped, error) {
 	prev := c.rend.Load()
-	if c.scratch {
-		prev = nil
-	}
 	r, err := c.b.RebuildDynamic(prev)
 	if err != nil {
 		return swapped{}, err

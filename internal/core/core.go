@@ -503,9 +503,8 @@ func (b *Builder) Build() (*Result, error) {
 	med := tr.Root().Child("mediation")
 	data, err := b.buildDataGraph()
 	if err == nil {
-		ds := data.Stats()
-		med.SetAttr("nodes", ds.Nodes)
-		med.SetAttr("edges", ds.Edges)
+		med.SetAttr("nodes", data.NumNodes())
+		med.SetAttr("edges", data.NumEdges())
 	}
 	med.Finish()
 	res.Stats.MediationTime = med.Duration()
@@ -575,9 +574,9 @@ func (b *Builder) Build() (*Result, error) {
 
 	b.primeDifferential(data, site, caps)
 
-	ds, ss := data.Stats(), site.Stats()
-	res.Stats.DataNodes, res.Stats.DataEdges = ds.Nodes, ds.Edges
-	res.Stats.SiteNodes, res.Stats.SiteEdges = ss.Nodes, ss.Edges
+	// NumNodes/NumEdges, not Stats(): its label census walks every edge.
+	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
+	res.Stats.SiteNodes, res.Stats.SiteEdges = site.NumNodes(), site.NumEdges()
 	res.Stats.Pages = len(htmlSite.Pages)
 	return res, nil
 }

@@ -355,3 +355,123 @@ object pub2 in Publications { title "Beta" year 1998 }
 		}
 	}
 }
+
+// TestRebuildAfterFailedRebuildServesEdit: a rebuild that fails after
+// the mediator committed a source edit (here a template that embeds
+// its page in itself) leaves the mediator one version ahead of the
+// last good result. Once the failure clears, rebuilding that result
+// must serve the edit — the refresh that follows finds the sources
+// unchanged, and its empty warehouse delta does not reach from the
+// result's data to the committed warehouse.
+func TestRebuildAfterFailedRebuildServesEdit(t *testing.T) {
+	content := `
+collection Publications { }
+object pub1 in Publications { title "Alpha" }
+object pub2 in Publications { title "Beta" }
+`
+	const query = `INPUT BIB
+WHERE Publications(x), x -> "title" -> t
+CREATE Page(x)
+LINK Page(x) -> "title" -> t, Page(x) -> "self" -> Page(x)
+COLLECT Roots(Page(x))
+OUTPUT Site`
+	builder := func() *Builder {
+		b := NewBuilder("failed")
+		if err := b.AddSourceFunc("bib", "datadef", func() (string, error) { return content, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddQuery(query); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddTemplate("Page", `<SFMT title>`); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := builder()
+	prev, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	content = strings.Replace(content, `"Alpha"`, `"Alpha v2"`, 1)
+	if err := b.AddTemplate("Page", `<SFMT self EMBED>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Rebuild(prev); err == nil {
+		t.Fatal("a self-embedding template must fail the rebuild")
+	}
+	if err := b.AddTemplate("Page", `<SFMT title>`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Rebuild(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := builder().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Site.Pages) != len(want.Site.Pages) {
+		t.Fatalf("rebuild has %d pages, scratch has %d", len(res.Site.Pages), len(want.Site.Pages))
+	}
+	for path, wp := range want.Site.Pages {
+		if gp := res.Site.Pages[path]; gp == nil || gp.HTML != wp.HTML || gp.ETag != wp.ETag {
+			t.Errorf("%s: rebuild serves %q, scratch build has %q (mode %s)",
+				path, gp.HTML, wp.HTML, res.Incremental.Mode)
+		}
+	}
+}
+
+// TestStatsSizesMatchGraphStats: the O(1) node and edge counts a build
+// and a rebuild report equal what the graphs' Stats census counts.
+func TestStatsSizesMatchGraphStats(t *testing.T) {
+	content := workload.BibliographyBibTeX(12, 5)
+	spec := workload.BibliographySpec()
+	b := NewBuilder("sizes")
+	if err := b.AddSourceFunc("refs.bib", "bibtex", func() (string, error) { return content, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddQuery(spec.Query); err != nil {
+		t.Fatal(err)
+	}
+	b.AddTemplates(spec.Templates)
+	b.SetEmbedOnly("PaperPresentation")
+	b.SetIndex(spec.Index)
+	check := func(what string, res *Result) {
+		t.Helper()
+		ds, ss := res.DataGraph.Stats(), res.SiteGraph.Stats()
+		st := res.Stats
+		if st.DataNodes != ds.Nodes || st.DataEdges != ds.Edges || st.SiteNodes != ss.Nodes || st.SiteEdges != ss.Edges {
+			t.Errorf("%s: stats data %d/%d site %d/%d, graphs say data %d/%d site %d/%d", what,
+				st.DataNodes, st.DataEdges, st.SiteNodes, st.SiteEdges, ds.Nodes, ds.Edges, ss.Nodes, ss.Edges)
+		}
+	}
+	res, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("build", res)
+	med := res.Trace.Root().Children()[0]
+	attrs := map[string]any{}
+	for _, a := range med.Attrs() {
+		attrs[a.Key] = a.Value
+	}
+	if ds := res.DataGraph.Stats(); med.Name != "mediation" || attrs["nodes"] != ds.Nodes || attrs["edges"] != ds.Edges {
+		t.Errorf("%s span attrs %v, data graph has %d nodes, %d edges", med.Name, attrs, ds.Nodes, ds.Edges)
+	}
+	noop, err := b.Rebuild(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("noop rebuild", noop)
+	content = strings.Replace(content, "title = {", "title = {Revised ", 1)
+	next, err := b.Rebuild(noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Incremental.Mode == "noop" {
+		t.Fatal("edit rebuilt as noop")
+	}
+	check("selective rebuild", next)
+}

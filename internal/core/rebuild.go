@@ -132,8 +132,11 @@ func addCount(c *telemetry.Counter, n int) {
 // warehouse-level delta, and only pages the delta can reach re-render.
 // A nil prev, a first refresh (no delta baseline), or an explicit
 // SetDataGraph (whose mutations the builder cannot observe — use
-// RebuildWithDelta) all degrade to a full build. The returned result
-// is byte-identical to a from-scratch Build over the same data.
+// RebuildWithDelta) all degrade to a full build. So does a prev built
+// from another warehouse than the one this refresh diffs against — a
+// rebuild failed after an earlier refresh committed — since that delta
+// would not reach from prev's data. The returned result is
+// byte-identical to a from-scratch Build over the same data.
 func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 	if prev == nil || prev.Site == nil || prev.SiteGraph == nil {
 		return b.Build()
@@ -146,12 +149,17 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 	// Mediation runs before rebuildFrom opens the rebuild trace, so it
 	// is timed here rather than as a span of it.
 	t0, a0 := time.Now(), telemetry.AllocBytes()
+	base, _ := b.med.Warehouse()
 	data, report, err := b.med.RefreshWithReport()
 	if err != nil {
 		return nil, err
 	}
 	medTime, medAlloc := time.Since(t0), telemetry.AllocBytes()-a0
-	res, err := b.rebuildFrom(prev, data, report, report.Warehouse)
+	delta := report.Warehouse
+	if base != prev.DataGraph {
+		delta = nil
+	}
+	res, err := b.rebuildFrom(prev, data, report, delta)
 	if res != nil {
 		res.Stats.MediationTime, res.Stats.MediationAlloc = medTime, medAlloc
 	}
@@ -397,8 +405,7 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 	info := &RebuildInfo{Data: delta, Impact: impact}
 	res.Incremental = info
 
-	ds := data.Stats()
-	res.Stats.DataNodes, res.Stats.DataEdges = ds.Nodes, ds.Edges
+	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
 
 	// Nothing the schema can see changed: the site graph — a function
 	// of the data graph and the queries — is provably identical, so the
@@ -411,8 +418,7 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 		res.Provenance = prev.Provenance
 		res.Violations = prev.Violations
 		res.DomainWarnings = prev.DomainWarnings
-		ss := prev.SiteGraph.Stats()
-		res.Stats.SiteNodes, res.Stats.SiteEdges = ss.Nodes, ss.Edges
+		res.Stats.SiteNodes, res.Stats.SiteEdges = prev.SiteGraph.NumNodes(), prev.SiteGraph.NumEdges()
 		res.Stats.Pages = len(prev.Site.Pages)
 		res.Stats.PagesReused = len(prev.Site.Pages)
 		addCount(b.deltaPages("reused"), len(prev.Site.Pages))
@@ -511,8 +517,7 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 	addCount(b.deltaPages("reused"), dstats.Reused)
 	addCount(b.deltaPages("pruned"), len(dstats.PrunedPaths))
 
-	ss := site.Stats()
-	res.Stats.SiteNodes, res.Stats.SiteEdges = ss.Nodes, ss.Edges
+	res.Stats.SiteNodes, res.Stats.SiteEdges = site.NumNodes(), site.NumEdges()
 	res.Stats.Pages = len(htmlSite.Pages)
 	res.Stats.PagesReused = dstats.Reused
 	res.Stats.PagesPruned = len(dstats.PrunedPaths)
@@ -522,8 +527,10 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 // RebuildDynamic refreshes the mediated data graph and returns a
 // renderer for click-time evaluation, carrying over the previous
 // renderer's page cache for classes the refresh delta cannot affect.
-// When the data did not change at all, prev itself is returned. A nil
-// prev, or no delta baseline, builds a fresh (cold-cache) renderer.
+// When the refresh kept the warehouse prev renders from, prev itself
+// is returned. A nil prev, no delta baseline, or a delta that does not
+// start at prev's data (a rebuild failed after an earlier refresh
+// committed) builds a fresh (cold-cache) renderer.
 func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Renderer, error) {
 	if prev == nil {
 		return b.BuildDynamic()
@@ -544,16 +551,21 @@ func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Rende
 		prev.BuiltAt = time.Now()
 		return prev, nil
 	}
+	in := prev.Dec.Input()
+	base, _ := b.med.Warehouse()
 	data, report, err := b.med.RefreshWithReport()
 	if err != nil {
 		return nil, err
 	}
-	delta := report.Warehouse
-	if delta != nil && delta.Empty() {
+	if data == in {
 		// The refresh re-validated the data as unchanged: the content is
 		// current as of now, even though nothing was recomputed.
 		prev.BuiltAt = time.Now()
 		return prev, nil
+	}
+	delta := report.Warehouse
+	if base != in {
+		delta = nil
 	}
 	if len(b.queries) != 1 {
 		return nil, fmt.Errorf("core: dynamic evaluation needs exactly one site-definition query, have %d", len(b.queries))

@@ -107,67 +107,115 @@ type objSnap struct {
 	members map[string]struct{}
 }
 
-// snapshot captures a graph in identity-keyed canonical form. The names
-// map is the authority for node identity (nodeData.name can be empty
-// for nodes that entered the graph implicitly through AddEdge); when
-// several names bind one OID the lexicographically smallest wins.
-func (g *Graph) snapshot() (objs map[string]*objSnap, colls map[string]map[string]struct{}) {
+// Scope names the objects (by key, see Graph.Key) and collections a
+// diff looks at.
+type Scope struct {
+	Objects     []string
+	Collections []string
+}
+
+// snapshot captures the scoped part of a graph (all of it when scope
+// is nil) in identity-keyed canonical form: objects and edge targets
+// are named by Key.
+func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[string]map[string]struct{}) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 
-	keyOf := make(map[OID]string, len(g.nodes))
-	for name, id := range g.names {
-		if prev, ok := keyOf[id]; !ok || name < prev {
-			keyOf[id] = name
+	key := g.keyLocked
+	if scope == nil {
+		keyOf := make(map[OID]string, len(g.nodes))
+		for id := range g.nodes {
+			keyOf[id] = g.keyLocked(id)
 		}
-	}
-	for id := range g.nodes {
-		if _, ok := keyOf[id]; !ok {
-			keyOf[id] = "&" + strconv.FormatUint(uint64(id), 10)
+		key = func(id OID) string {
+			if k, ok := keyOf[id]; ok {
+				return k
+			}
+			return g.keyLocked(id)
 		}
 	}
 	valKey := func(v Value) string {
 		if v.IsNode() {
-			if k, ok := keyOf[v.OID()]; ok {
-				return k
-			}
-			return "&" + strconv.FormatUint(uint64(v.OID()), 10)
+			return key(v.OID())
 		}
 		return v.String()
 	}
-
-	objs = make(map[string]*objSnap, len(g.nodes))
-	for id, nd := range g.nodes {
+	snap := func(nd *nodeData) *objSnap {
 		s := &objSnap{edges: make(map[string]struct{}, len(nd.out))}
 		for _, e := range nd.out {
 			s.edges[e.Label+"\x00"+valKey(e.To)] = struct{}{}
 		}
-		objs[keyOf[id]] = s
+		return s
 	}
-	colls = make(map[string]map[string]struct{}, len(g.colls))
-	for name, c := range g.colls {
+	snapColl := func(name string, c *collection) {
 		set := make(map[string]struct{}, len(c.members))
 		for _, v := range c.members {
 			k := valKey(v)
 			set[k] = struct{}{}
-			if v.IsNode() {
-				if s, ok := objs[k]; ok {
-					if s.members == nil {
-						s.members = make(map[string]struct{})
-					}
-					s.members[name] = struct{}{}
-				}
+			if s, ok := objs[k]; ok && v.IsNode() {
+				s.addMember(name)
 			}
 		}
 		colls[name] = set
 	}
+
+	if scope == nil {
+		objs = make(map[string]*objSnap, len(g.nodes))
+		for id, nd := range g.nodes {
+			objs[key(id)] = snap(nd)
+		}
+		colls = make(map[string]map[string]struct{}, len(g.colls))
+		for name, c := range g.colls {
+			snapColl(name, c)
+		}
+		return objs, colls
+	}
+
+	objs = make(map[string]*objSnap, len(scope.Objects))
+	for _, k := range scope.Objects {
+		id, ok := g.resolveKeyLocked(k)
+		if !ok || key(id) != k {
+			continue // not an object of this graph
+		}
+		s := snap(g.nodes[id])
+		for name, c := range g.colls {
+			if _, member := c.seen[NodeValue(id)]; member {
+				s.addMember(name)
+			}
+		}
+		objs[k] = s
+	}
+	colls = make(map[string]map[string]struct{}, len(scope.Collections))
+	for _, name := range scope.Collections {
+		if c, ok := g.colls[name]; ok {
+			snapColl(name, c)
+		}
+	}
 	return objs, colls
+}
+
+func (s *objSnap) addMember(coll string) {
+	if s.members == nil {
+		s.members = make(map[string]struct{})
+	}
+	s.members[coll] = struct{}{}
 }
 
 // Diff computes the object-level delta from old to new. A nil old graph
 // yields a delta in which every object of new is added; a nil new graph
 // marks every object of old removed.
 func Diff(old, new *Graph) *Delta {
+	return DiffScope(old, new, nil)
+}
+
+// DiffScope computes the part of Diff(old, new) that concerns the
+// objects and collections in scope: only those can appear in the
+// result, and TouchedLabels holds only labels of their edges. When the
+// scope covers every object and collection whose canonical form
+// differs between the graphs, the result equals Diff(old, new) — which
+// is DiffScope with a nil scope, covering everything. The cost is then
+// proportional to the scope, not to the graphs.
+func DiffScope(old, new *Graph, scope *Scope) *Delta {
 	var (
 		oldObjs  map[string]*objSnap
 		oldColls map[string]map[string]struct{}
@@ -175,10 +223,10 @@ func Diff(old, new *Graph) *Delta {
 		newColls map[string]map[string]struct{}
 	)
 	if old != nil {
-		oldObjs, oldColls = old.snapshot()
+		oldObjs, oldColls = old.snapshot(scope)
 	}
 	if new != nil {
-		newObjs, newColls = new.snapshot()
+		newObjs, newColls = new.snapshot(scope)
 	}
 
 	d := &Delta{}
@@ -264,12 +312,18 @@ func Diff(old, new *Graph) *Delta {
 // ResolveKey maps a Delta object key back to an OID in this graph.
 // Symbolic names take precedence; "&17"-style keys resolve by OID.
 func (g *Graph) ResolveKey(key string) (OID, bool) {
-	if id, ok := g.NodeByName(key); ok {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.resolveKeyLocked(key)
+}
+
+func (g *Graph) resolveKeyLocked(key string) (OID, bool) {
+	if id, ok := g.names[key]; ok {
 		return id, true
 	}
 	if strings.HasPrefix(key, "&") {
 		n, err := strconv.ParseUint(key[1:], 10, 64)
-		if err == nil && g.HasNode(OID(n)) {
+		if _, ok := g.nodes[OID(n)]; err == nil && ok {
 			return OID(n), true
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -30,7 +31,12 @@ type Graph struct {
 	nodes map[OID]*nodeData
 	// names maps a symbolic node name ("pub1", "RootPage()") to its OID.
 	names map[string]OID
-	colls map[string]*collection
+	// aliases holds the key (see Key) of each node that had a name
+	// bound after it was created, by AddNode on a present node. Every
+	// other node is keyed by its creation name when that name is bound
+	// to it. Nil until needed.
+	aliases map[OID]string
+	colls   map[string]*collection
 	// edgeCount caches the total number of edges for Stats.
 	edgeCount int
 	// watchers receive a journal entry for every mutation (changelog.go).
@@ -125,15 +131,53 @@ func (g *Graph) AddNode(id OID, name string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.alloc.reserve(id)
-	if _, ok := g.nodes[id]; !ok {
+	_, present := g.nodes[id]
+	if !present {
 		g.nodes[id] = &nodeData{name: name}
 		g.logOp(Op{Kind: OpAddNode, Node: id, Name: name})
 	}
 	if name != "" {
 		if _, bound := g.names[name]; !bound {
+			key, named := g.nameKeyLocked(id)
 			g.names[name] = id
+			if present && (!named || name < key) {
+				if g.aliases == nil {
+					g.aliases = map[OID]string{}
+				}
+				g.aliases[id] = name
+			}
 		}
 	}
+}
+
+// Key returns the node's object key, the identity Diff names it by:
+// the lexicographically smallest symbolic name bound to it, else its
+// OID key ("&17").
+func (g *Graph) Key(id OID) string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.keyLocked(id)
+}
+
+func (g *Graph) keyLocked(id OID) string {
+	if key, named := g.nameKeyLocked(id); named {
+		return key
+	}
+	return "&" + strconv.FormatUint(uint64(id), 10)
+}
+
+// nameKeyLocked returns the smallest name bound to a node, if any.
+// Caller holds g.mu.
+func (g *Graph) nameKeyLocked(id OID) (string, bool) {
+	if key, ok := g.aliases[id]; ok {
+		return key, true
+	}
+	if nd, ok := g.nodes[id]; ok && nd.name != "" {
+		if bound, ok := g.names[nd.name]; ok && bound == id {
+			return nd.name, true
+		}
+	}
+	return "", false
 }
 
 // HasNode reports whether the node belongs to this graph.

@@ -84,6 +84,7 @@ func (g *Graph) RemoveNode(id OID) bool {
 			delete(g.names, name)
 		}
 	}
+	delete(g.aliases, id)
 	v := NodeValue(id)
 	// Deterministic membership-removal order for journal consumers.
 	cnames := make([]string, 0, len(g.colls))
@@ -236,6 +237,13 @@ func (g *Graph) RenumberNodes(order []string) map[OID]OID {
 	g.nodes = nodes
 	for name, id := range g.names {
 		g.names[name] = remap(id)
+	}
+	if len(g.aliases) > 0 {
+		aliases := make(map[OID]string, len(g.aliases))
+		for id, key := range g.aliases {
+			aliases[remap(id)] = key
+		}
+		g.aliases = aliases
 	}
 	for _, c := range g.colls {
 		seen := make(map[Value]struct{}, len(c.seen))

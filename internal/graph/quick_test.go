@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +165,191 @@ func TestQuickCompareEqConsistency(t *testing.T) {
 		return selfOK && selfCmp == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// keyByScan is Key's reference: the smallest name bound to the node in
+// a scan of the whole name table, else the OID key.
+func keyByScan(g *Graph, id OID) string {
+	key := ""
+	for name, bound := range g.names {
+		if bound == id && (key == "" || name < key) {
+			key = name
+		}
+	}
+	if key == "" {
+		return "&" + strconv.FormatUint(uint64(id), 10)
+	}
+	return key
+}
+
+// mutateRandomly applies n random mutations drawn from every way a
+// node's key can move: names bound to present nodes (aliases), names
+// already taken elsewhere, unnamed nodes, removals that free names,
+// renumbering, plus edge and membership edits.
+func mutateRandomly(g *Graph, rng *rand.Rand, n int) {
+	labels := []string{"a", "b", "title"}
+	var removed []OID
+	pick := func() (OID, bool) {
+		ids := g.Nodes()
+		if len(ids) == 0 {
+			return InvalidOID, false
+		}
+		return ids[rng.Intn(len(ids))], true
+	}
+	for i := 0; i < n; i++ {
+		switch rng.Intn(10) {
+		case 0:
+			g.NewNode("")
+		case 1:
+			g.NewNode(nodeName(rng.Intn(40)))
+		case 2: // bind a second (or taken) name to a present node
+			if id, ok := pick(); ok {
+				g.AddNode(id, nodeName(rng.Intn(40)))
+			}
+		case 3: // a new or removed node whose name may already be taken
+			id := g.alloc.take()
+			if len(removed) > 0 && rng.Intn(2) == 0 {
+				id = removed[rng.Intn(len(removed))]
+			}
+			g.AddNode(id, nodeName(rng.Intn(40)))
+		case 4:
+			if id, ok := pick(); ok {
+				g.RemoveNode(id)
+				removed = append(removed, id)
+			}
+		case 5:
+			if rng.Intn(4) == 0 {
+				var order []string
+				for name := range g.names {
+					if rng.Intn(3) == 0 {
+						order = append(order, name)
+					}
+				}
+				sort.Strings(order)
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				seen := map[OID]bool{}
+				kept := order[:0]
+				for _, name := range order {
+					if id := g.names[name]; !seen[id] {
+						seen[id] = true
+						kept = append(kept, name)
+					}
+				}
+				g.RenumberNodes(kept)
+			}
+		case 6:
+			from, ok1 := pick()
+			to, ok2 := pick()
+			if ok1 && ok2 {
+				g.AddEdge(from, labels[rng.Intn(len(labels))], NodeValue(to))
+			}
+		case 7:
+			if id, ok := pick(); ok {
+				if out := g.Out(id); len(out) > 0 {
+					e := out[rng.Intn(len(out))]
+					g.RemoveEdge(e.From, e.Label, e.To)
+				} else {
+					g.AddEdge(id, labels[rng.Intn(len(labels))], randomAtom(rng))
+				}
+			}
+		case 8:
+			if id, ok := pick(); ok {
+				g.AddToCollection("C"+string(rune('A'+rng.Intn(3))), NodeValue(id))
+			}
+		default:
+			coll := "C" + string(rune('A'+rng.Intn(3)))
+			if members := g.Collection(coll); len(members) > 0 {
+				g.RemoveFromCollection(coll, members[rng.Intn(len(members))])
+			} else {
+				g.AddToCollection(coll, randomAtom(rng))
+			}
+		}
+	}
+}
+
+// TestQuickKeyMatchesNameScan: Key answers in O(1) what a scan of the
+// name table answers, through every mutation that binds or frees a
+// name.
+func TestQuickKeyMatchesNameScan(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(seed, 12)
+		mutateRandomly(g, rng, 80)
+		for _, id := range g.Nodes() {
+			if got, want := g.Key(id), keyByScan(g, id); got != want {
+				t.Logf("seed %d: Key(&%d) = %q, name scan says %q", seed, id, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// copyGraph copies g into a sibling, node by node in OID order, so the
+// copy keeps every OID and node name.
+func copyGraph(g *Graph) *Graph {
+	c := g.NewSibling(g.Name() + "'")
+	for _, id := range g.Nodes() {
+		c.AddNode(id, g.NodeName(id))
+	}
+	g.Edges(func(e Edge) bool {
+		c.AddEdge(e.From, e.Label, e.To)
+		return true
+	})
+	for _, coll := range g.Collections() {
+		c.DeclareCollection(coll)
+		for _, v := range g.Collection(coll) {
+			c.AddToCollection(coll, v)
+		}
+	}
+	return c
+}
+
+// TestQuickDiffScopeEqualsDiff: DiffScope over any scope that covers
+// the objects and collections Diff reports — padded with unchanged,
+// absent and non-canonical keys — equals Diff exactly.
+func TestQuickDiffScopeEqualsDiff(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		old := randomGraph(seed, 12)
+		mutateRandomly(old, rng, 30)
+		new := copyGraph(old)
+		mutateRandomly(new, rng, 1+rng.Intn(8))
+		full := Diff(old, new)
+
+		scope := &Scope{Objects: full.Objects(), Collections: full.TouchedCollections}
+		for _, g := range []*Graph{old, new} {
+			for _, id := range g.Nodes() {
+				if rng.Intn(3) == 0 {
+					scope.Objects = append(scope.Objects, g.Key(id))
+				}
+				if name := g.NodeName(id); name != "" && rng.Intn(3) == 0 {
+					scope.Objects = append(scope.Objects, name) // maybe not a key
+				}
+			}
+			for _, coll := range g.Collections() {
+				if rng.Intn(2) == 0 {
+					scope.Collections = append(scope.Collections, coll)
+				}
+			}
+		}
+		scope.Objects = append(scope.Objects, "&999999", "nosuch")
+		scope.Collections = append(scope.Collections, "NoSuch")
+		rng.Shuffle(len(scope.Objects), func(i, j int) {
+			scope.Objects[i], scope.Objects[j] = scope.Objects[j], scope.Objects[i]
+		})
+		if got := DiffScope(old, new, scope); !reflect.DeepEqual(got, full) {
+			t.Logf("seed %d:\nscoped %+v\nfull   %+v", seed, got, full)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

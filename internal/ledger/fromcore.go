@@ -34,10 +34,11 @@ func SourceRecords(rep *mediator.RefreshReport) []SourceRecord {
 	out := make([]SourceRecord, 0, len(rep.Sources))
 	for _, s := range rep.Sources {
 		r := SourceRecord{
-			Name:     s.Name,
-			State:    s.State.String(),
-			Attempts: s.Attempts,
-			Delta:    DeltaSizeOf(s.Delta),
+			Name:      s.Name,
+			State:     s.State.String(),
+			Unchanged: s.Unchanged,
+			Attempts:  s.Attempts,
+			Delta:     DeltaSizeOf(s.Delta),
 		}
 		if s.Err != nil {
 			r.Err = s.Err.Error()

@@ -39,8 +39,11 @@ import (
 // SourceRecord is one source's outcome in a refresh cycle, lifted
 // from mediator.SourceStatus.
 type SourceRecord struct {
-	Name         string     `json:"name"`
-	State        string     `json:"state"`
+	Name  string `json:"name"`
+	State string `json:"state"`
+	// Unchanged: the fetched bytes matched the last-good copy's, so the
+	// source was not re-wrapped.
+	Unchanged    bool       `json:"unchanged,omitempty"`
 	Attempts     int        `json:"attempts,omitempty"`
 	Err          string     `json:"err,omitempty"`
 	StaleSeconds float64    `json:"stale_seconds,omitempty"`
@@ -174,13 +177,19 @@ func (e Entry) Summary() string {
 		fmt.Fprintf(&b, ", gen %d", e.Generation)
 	}
 	if n := len(e.Sources); n > 0 {
-		fresh := 0
+		fresh, unchanged := 0, 0
 		for _, s := range e.Sources {
 			if s.State == "fresh" {
 				fresh++
 			}
+			if s.Unchanged {
+				unchanged++
+			}
 		}
 		fmt.Fprintf(&b, ", sources %d/%d fresh", fresh, n)
+		if unchanged > 0 {
+			fmt.Fprintf(&b, " (%d unchanged)", unchanged)
+		}
 	}
 	fmt.Fprintf(&b, ", %.1fms", e.TotalMs)
 	if e.Freshness != nil {

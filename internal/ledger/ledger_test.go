@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"strudel/internal/graph"
+	"strudel/internal/mediator"
 	"strudel/internal/telemetry"
 )
 
@@ -357,5 +359,30 @@ func TestEntrySummary(t *testing.T) {
 	fail := Entry{BuildID: "b", Err: "boom"}
 	if s := fail.Summary(); !strings.Contains(s, "error: boom") {
 		t.Errorf("failure summary = %q", s)
+	}
+}
+
+// TestSourceRecordsUnchanged: a source the mediator did not re-wrap is
+// marked unchanged in the entry's JSON and its summary line; a
+// re-wrapped one is not.
+func TestSourceRecordsUnchanged(t *testing.T) {
+	rep := &mediator.RefreshReport{Sources: []mediator.SourceStatus{
+		{Name: "a.bib", State: mediator.Fresh, Unchanged: true, Delta: &graph.Delta{}},
+		{Name: "b.bib", State: mediator.Fresh, Delta: &graph.Delta{ChangedObjects: []string{"pub1"}}},
+	}}
+	e := testEntry(1)
+	e.Sources = SourceRecords(rep)
+	if !e.Sources[0].Unchanged || e.Sources[1].Unchanged {
+		t.Fatalf("records = %+v", e.Sources)
+	}
+	js, err := json.Marshal(e.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(js), `"unchanged":true`); got != 1 {
+		t.Errorf("JSON %s carries %d unchanged flags, want 1", js, got)
+	}
+	if s := e.Summary(); !strings.Contains(s, "sources 2/2 fresh (1 unchanged)") {
+		t.Errorf("summary %q does not count the unchanged source", s)
 	}
 }

@@ -9,9 +9,16 @@
 // build the warehouse graph. Sources without mapping queries are
 // merged verbatim (object names preserved), which suits sources
 // already shaped like the mediated view.
+//
+// A refresh costs what changed: a source whose fetched bytes hash the
+// same as its last-good copy's is not re-wrapped, a refresh in which
+// no source was re-wrapped keeps the committed warehouse, and without
+// GAV mappings the warehouse delta re-diffs only the objects the
+// re-wrapped sources' deltas reach.
 package mediator
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -46,6 +53,13 @@ type Source struct {
 	// so changing source data is picked up (the paper: "the data in
 	// the sources may change frequently").
 	Fetch func() (string, error)
+}
+
+// goodCopy is a source's last successfully wrapped graph and the
+// SHA-256 of the bytes it was wrapped from, committed together.
+type goodCopy struct {
+	g   *graph.Graph
+	sum [sha256.Size]byte
 }
 
 // Resilience configures fault tolerance for Refresh. The zero value
@@ -99,7 +113,7 @@ type Mediator struct {
 	sources   []*Source
 	mappings  []*struql.Query
 	registry  *struql.Registry
-	// Refreshes counts warehouse rebuilds, for diagnostics.
+	// Refreshes counts committed refreshes, for diagnostics.
 	Refreshes int
 
 	// refreshMu serializes Refresh end to end (a background refresher
@@ -108,11 +122,14 @@ type Mediator struct {
 	// distinct from mu so that a slow, retrying refresh never blocks
 	// LastReport/Instrument/SetResilience.
 	refreshMu  sync.Mutex
-	lastGood   map[string]*graph.Graph
+	lastGood   map[string]goodCopy
 	staleSince map[string]time.Time
-	// lastWarehouse is the previously committed warehouse, kept as the
-	// baseline for the refresh report's warehouse-level delta.
+	// lastWarehouse is the committed warehouse: the baseline of the
+	// refresh report's warehouse-level delta, and the result of every
+	// refresh that re-wraps no source. Committed warehouses are never
+	// mutated. lastMapped counts the mappings it was built with.
 	lastWarehouse *graph.Graph
+	lastMapped    int
 
 	// mu guards the fields below. It is held only for short critical
 	// sections — never across fetches, per-attempt timeouts or backoff
@@ -132,7 +149,7 @@ func New(repo *repository.Repository, warehouseName string) *Mediator {
 		warehouse:  warehouseName,
 		registry:   struql.NewRegistry(),
 		breakers:   map[string]*resilience.Breaker{},
-		lastGood:   map[string]*graph.Graph{},
+		lastGood:   map[string]goodCopy{},
 		staleSince: map[string]time.Time{},
 	}
 }
@@ -315,7 +332,8 @@ func (m *Mediator) AddSourceDynamic(s *Source) {
 }
 
 // AddMapping registers a GAV mapping query. The query's INPUT names a
-// source; its constructions are applied to the warehouse graph.
+// source; its constructions are applied to the warehouse graph. The
+// next refresh rebuilds the warehouse even if no source changed.
 func (m *Mediator) AddMapping(q *struql.Query) error {
 	if q.Input == "" {
 		return fmt.Errorf("mediator: mapping query must name its INPUT source")
@@ -324,25 +342,37 @@ func (m *Mediator) AddMapping(q *struql.Query) error {
 	return nil
 }
 
-// Refresh re-wraps every source and rebuilds the warehouse from
-// scratch. Incremental view maintenance for semistructured data is an
-// open problem the paper defers (Sec. 6); full rebuild matches its
-// prototype. The warehouse graph object is replaced in the repository;
-// callers must re-resolve it. See RefreshWithReport for the semantics
-// under source failure.
+// Refresh fetches every source and returns the warehouse, rebuilt only
+// if some source's bytes changed. Incremental view maintenance for
+// semistructured data is an open problem the paper defers (Sec. 6):
+// a changed source is re-wrapped whole and the warehouse re-merged and
+// re-mapped whole, as in its prototype. A rebuilt warehouse replaces
+// the graph object in the repository; callers must re-resolve it. See
+// RefreshWithReport for the semantics under source failure.
 func (m *Mediator) Refresh() (*graph.Graph, error) {
 	wh, _, err := m.RefreshWithReport()
 	return wh, err
 }
 
-// RefreshWithReport rebuilds the warehouse with per-source fault
+// RefreshWithReport refreshes the warehouse with per-source fault
 // tolerance and returns what happened source by source.
 //
-// Everything is staged off to the side: source graphs and the new
-// warehouse are built as unregistered siblings of the repository
-// database and committed only when the whole build succeeds, so a
-// failed refresh never leaves the repository partial — readers keep
-// the previous warehouse and src:* graphs.
+// Every source is fetched. One whose bytes hash (SHA-256) the same as
+// those its last-good graph was wrapped from reuses that graph: it is
+// Fresh and Unchanged, with an empty delta, and is not re-wrapped. If
+// no source is re-wrapped, the committed warehouse object itself is
+// returned with an empty warehouse delta: no merge, no mapping, no
+// diff. The skip assumes wrappers, mappings and registry predicates
+// are deterministic functions of the fetched bytes.
+//
+// Otherwise the new warehouse is staged off to the side: source graphs
+// and the warehouse are built as unregistered siblings of the
+// repository database and committed — together with the digests of the
+// bytes they were wrapped from — only when the whole build succeeds,
+// so a failed refresh never leaves the repository partial: readers
+// keep the previous warehouse and src:* graphs, and the next refresh
+// re-wraps whatever was not committed. A committed warehouse is never
+// mutated.
 //
 // A source whose fetch fails (after the configured retries, deadline
 // and breaker) degrades rather than aborts: its last-good graph
@@ -376,23 +406,28 @@ func (m *Mediator) RefreshWithReport() (*graph.Graph, *RefreshReport, error) {
 		return nil, report, err
 	}
 
-	// Stage: wrap each source into an unregistered sibling graph, or
-	// fall back to its last-good graph.
-	use := map[string]*graph.Graph{}   // graph feeding this build, per source
-	fresh := map[string]*graph.Graph{} // newly staged graphs, committed at the end
+	// Stage: wrap each source whose bytes changed into an unregistered
+	// sibling graph, or reuse its last-good graph.
+	use := map[string]*graph.Graph{} // graph feeding this build, per source
+	fresh := map[string]goodCopy{}   // newly staged graphs, committed at the end
 	for _, s := range m.sources {
 		st := SourceStatus{Name: s.Name, State: Fresh}
 		content, attempts, err := m.acquire(s, cfg, met)
 		st.Attempts = attempts
+		last, hasLast := m.lastGood[s.Name]
 		if err == nil {
-			g := db.Sibling("src:" + s.Name)
-			if werr := s.Wrapper.Wrap(g, s.Name, content); werr != nil {
-				err = fmt.Errorf("mediator: wrapping source %q: %w", s.Name, werr)
+			sum := sha256.Sum256([]byte(content))
+			if hasLast && sum == last.sum {
+				st.Unchanged = true
+				st.Delta = &graph.Delta{}
+				use[s.Name] = last.g
+			} else if g, werr := m.wrap(db, s, content); werr != nil {
+				err = werr
 			} else {
 				use[s.Name] = g
-				fresh[s.Name] = g
-				if last, ok := m.lastGood[s.Name]; ok {
-					st.Delta = graph.Diff(last, g)
+				fresh[s.Name] = goodCopy{g: g, sum: sum}
+				if hasLast {
+					st.Delta = graph.Diff(last.g, g)
 				}
 			}
 		} else if !errors.Is(err, resilience.ErrBreakerOpen) {
@@ -400,8 +435,7 @@ func (m *Mediator) RefreshWithReport() (*graph.Graph, *RefreshReport, error) {
 		}
 		if err != nil {
 			st.Err = err
-			last, ok := m.lastGood[s.Name]
-			if !ok {
+			if !hasLast {
 				st.State = Failed
 				report.Sources = append(report.Sources, st)
 				return abort(err)
@@ -412,11 +446,19 @@ func (m *Mediator) RefreshWithReport() (*graph.Graph, *RefreshReport, error) {
 			st.State = Degraded
 			st.StaleSince = m.staleSince[s.Name]
 			st.Delta = &graph.Delta{} // last-good reused verbatim
-			use[s.Name] = last
+			use[s.Name] = last.g
 		} else {
 			delete(m.staleSince, s.Name)
 		}
 		report.Sources = append(report.Sources, st)
+	}
+
+	if len(fresh) == 0 && m.lastWarehouse != nil && m.lastMapped == len(m.mappings) {
+		// Every source fed the committed warehouse the same graph.
+		report.Warehouse = &graph.Delta{}
+		m.Refreshes++
+		finish(false)
+		return m.lastWarehouse, report, nil
 	}
 
 	// Build the replacement warehouse, still off to the side.
@@ -442,21 +484,120 @@ func (m *Mediator) RefreshWithReport() (*graph.Graph, *RefreshReport, error) {
 	// the data after GAV mapping); it is what incremental rebuilds key
 	// on. No baseline on the first refresh leaves it nil — "unknown".
 	if m.lastWarehouse != nil {
-		report.Warehouse = graph.Diff(m.lastWarehouse, wh)
+		report.Warehouse = graph.DiffScope(m.lastWarehouse, wh, m.diffScope(wh, use, report))
 	}
 
 	// Commit: publish the fresh source graphs and the new warehouse.
 	// Each Put is an atomic pointer swap in the database; readers
 	// holding the old graphs keep a consistent (if stale) view.
-	for name, g := range fresh {
-		m.repo.Put(g)
-		m.lastGood[name] = g
+	for name, c := range fresh {
+		m.repo.Put(c.g)
+		m.lastGood[name] = c
 	}
 	m.repo.Put(wh)
-	m.lastWarehouse = wh
+	m.lastWarehouse, m.lastMapped = wh, len(m.mappings)
 	m.Refreshes++
 	finish(false)
 	return wh, report, nil
+}
+
+// wrap wraps one source's content into an unregistered sibling graph.
+func (m *Mediator) wrap(db *graph.Database, s *Source, content string) (*graph.Graph, error) {
+	g := db.Sibling("src:" + s.Name)
+	if err := s.Wrapper.Wrap(g, s.Name, content); err != nil {
+		return nil, fmt.Errorf("mediator: wrapping source %q: %w", s.Name, err)
+	}
+	return g, nil
+}
+
+// diffScope returns the objects and collections of the new warehouse
+// wh that can differ from the committed one, or nil — diff everything
+// — when that cannot be read off the sources: a GAV mapping is
+// registered (its output need not follow source keys), a merged source
+// has no last-good baseline, or two merged sources share a node (then
+// a node's edges are not those of one source). Nothing else needs the
+// full diff.
+//
+// With merged sources node-disjoint, a warehouse object differs only
+// if a re-wrapped source's delta names it, or if some node's warehouse
+// key moved: a node of a re-wrapped source whose key differs from its
+// key in that source (its name is bound to another source's node), or
+// a node of an unchanged source that won or lost a name a re-wrapped
+// source also uses. A moved key changes the node itself, the edges of
+// every node pointing at it, and the collections holding it.
+func (m *Mediator) diffScope(wh *graph.Graph, use map[string]*graph.Graph, report *RefreshReport) *graph.Scope {
+	if len(m.mappings) > 0 {
+		return nil
+	}
+	old := m.lastWarehouse
+	objs, colls := map[string]struct{}{}, map[string]struct{}{}
+	moved := func(g *graph.Graph, id graph.OID) {
+		objs[g.Key(id)] = struct{}{}
+		for _, e := range g.In(id) {
+			objs[g.Key(e.From)] = struct{}{}
+		}
+		for _, c := range g.Collections() {
+			if g.InCollection(c, graph.NodeValue(id)) {
+				colls[c] = struct{}{}
+			}
+		}
+	}
+	names := map[string]struct{}{} // node names of re-wrapped sources
+	oldNodes, newNodes := 0, 0
+	for i, s := range m.sources {
+		if s.Mode != Merge {
+			continue
+		}
+		last, ok := m.lastGood[s.Name]
+		if !ok {
+			return nil
+		}
+		cur := use[s.Name]
+		oldNodes += last.g.NumNodes()
+		newNodes += cur.NumNodes()
+		if cur == last.g {
+			continue
+		}
+		d := report.Sources[i].Delta
+		for _, k := range d.Objects() {
+			objs[k] = struct{}{}
+		}
+		for _, c := range d.TouchedCollections {
+			colls[c] = struct{}{}
+		}
+		for _, side := range [...]struct{ src, wh *graph.Graph }{{last.g, old}, {cur, wh}} {
+			for _, id := range side.src.Nodes() {
+				if key := side.src.Key(id); key != side.wh.Key(id) {
+					objs[key] = struct{}{}
+					moved(side.wh, id)
+				}
+				if name := side.src.NodeName(id); name != "" {
+					names[name] = struct{}{}
+				}
+			}
+		}
+	}
+	if oldNodes != old.NumNodes() || newNodes != wh.NumNodes() {
+		return nil // merged sources share nodes
+	}
+	for name := range names {
+		for _, g := range [...]*graph.Graph{old, wh} {
+			id, ok := g.NodeByName(name)
+			if ok && old.HasNode(id) && wh.HasNode(id) && old.Key(id) != wh.Key(id) {
+				moved(old, id)
+				moved(wh, id)
+			}
+		}
+	}
+	return &graph.Scope{Objects: keys(objs), Collections: keys(colls)}
+}
+
+func keys(set map[string]struct{}) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	return out
 }
 
 // observeRefresh records a refresh outcome in telemetry (met may be

@@ -40,6 +40,9 @@ func (s SourceState) String() string {
 type SourceStatus struct {
 	Name  string
 	State SourceState
+	// Unchanged marks a fresh source whose fetched bytes hashed the
+	// same as its last-good copy's: it was not re-wrapped.
+	Unchanged bool
 	// Attempts counts fetch attempts made (0 when the breaker
 	// rejected the call without trying).
 	Attempts int
@@ -49,9 +52,10 @@ type SourceStatus struct {
 	// since; zero for fresh sources.
 	StaleSince time.Time
 	// Delta is the change in this source's wrapped graph relative to
-	// its last-good graph: empty for a degraded source (it reuses the
-	// last-good graph verbatim), nil on the source's very first
-	// successful wrap (no baseline to compare against).
+	// its last-good graph: the diff of the two for a re-wrapped source,
+	// empty for an unchanged or degraded one (it reuses the last-good
+	// graph verbatim), nil on the source's very first successful wrap
+	// (no baseline to compare against).
 	Delta *graph.Delta
 }
 
@@ -66,11 +70,13 @@ type RefreshReport struct {
 	// order (truncated at the failing source when the refresh aborts).
 	Sources []SourceStatus
 	// Warehouse is the change in the committed warehouse graph relative
-	// to the previous refresh's warehouse. It is nil on the first
-	// refresh (no baseline — callers must treat nil as "anything may
-	// have changed") and on aborted refreshes (nothing committed). It
-	// subsumes the per-source deltas: GAV-mapped attribute renamings
-	// and merges are diffed after mapping, at warehouse granularity.
+	// to the previous refresh's warehouse, exactly as graph.Diff of the
+	// two reports it. It is nil on the first refresh (no baseline —
+	// callers must treat nil as "anything may have changed") and on
+	// aborted refreshes (nothing committed), and empty when no source
+	// was re-wrapped (the warehouse is the previous one). It subsumes
+	// the per-source deltas: GAV-mapped attribute renamings and merges
+	// are diffed after mapping, at warehouse granularity.
 	Warehouse *graph.Delta
 }
 
@@ -112,15 +118,19 @@ func (r *RefreshReport) Source(name string) (SourceStatus, bool) {
 }
 
 // Summary renders a one-line human-readable digest, e.g.
-// "2/3 sources fresh; degraded: b.csv (stale 2m30s): network down".
-// Staleness is relative to the refresh time (At minus StaleSince).
+// "2/3 sources fresh (1 unchanged); degraded: b.csv (stale 2m30s):
+// network down". Staleness is relative to the refresh time (At minus
+// StaleSince).
 func (r *RefreshReport) Summary() string {
-	fresh := 0
+	fresh, unchanged := 0, 0
 	var bad []string
 	for _, s := range r.Sources {
 		switch s.State {
 		case Fresh:
 			fresh++
+			if s.Unchanged {
+				unchanged++
+			}
 		default:
 			detail := fmt.Sprintf("%s: %s", s.State, s.Name)
 			if !s.StaleSince.IsZero() {
@@ -133,6 +143,9 @@ func (r *RefreshReport) Summary() string {
 		}
 	}
 	out := fmt.Sprintf("%d/%d sources fresh", fresh, len(r.Sources))
+	if unchanged > 0 {
+		out += fmt.Sprintf(" (%d unchanged)", unchanged)
+	}
 	if len(bad) > 0 {
 		out += "; " + strings.Join(bad, "; ")
 	}

@@ -60,12 +60,15 @@ crash:
 
 # Parallel-build determinism suite: the worker pool's property tests,
 # the concurrent generator/evaluator/materializer, the example sites at
-# workers 1/4/16, and the differential delta-rebuild suite (random edit
+# workers 1/4/16, the differential delta-rebuild suite (random edit
 # scripts, incremental vs. from-scratch, byte-identical at workers
-# 1/4/16), all under the race detector, twice.
+# 1/4/16), and the mediated rebuild property test (BibTeX edit scripts
+# through the mediator and Rebuild, pages and ETags equal to a fresh
+# build at workers 1/4), all under the race detector, twice.
 testpar:
 	$(GO) test -race -count=2 ./internal/pool/... ./internal/sitegen/... ./internal/struql/... ./internal/incremental/...
 	$(GO) test -race -count=2 -run 'Deterministic|Parallel|Golden' ./internal/core/ ./examples/...
+	$(GO) test -race -count=2 -run '^TestPropertyMediatedRebuild$$' .
 	$(GO) test -race -count=2 -run 'Differential' .
 
 # Serving-edge load smoke: the deterministic load-generation

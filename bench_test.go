@@ -687,7 +687,6 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			delta := &graph.Delta{ChangedObjects: []string{"art7"}, TouchedLabels: []string{"title"}}
 			var rendered, reused float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -701,7 +700,7 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 					rendered = float64(len(prev.Site.Pages))
 					continue
 				}
-				res, err := cb.RebuildWithDelta(prev, delta)
+				res, err := cb.Rebuild(prev)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -800,7 +799,6 @@ func BenchmarkIncrementalEval(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					delta := &graph.Delta{ChangedObjects: []string{"pub7"}, TouchedLabels: []string{"title"}}
 					var retained, recomputed, rendered, reused float64
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -813,7 +811,7 @@ func BenchmarkIncrementalEval(b *testing.B) {
 							}
 							continue
 						}
-						res, err := cb.RebuildWithDelta(prev, delta)
+						res, err := cb.Rebuild(prev)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -1152,14 +1150,13 @@ func BenchmarkLedgerOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	delta := &graph.Delta{ChangedObjects: []string{"art7"}, TouchedLabels: []string{"title"}}
 	led, err := ledger.Open(ledger.Options{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	rebuild := func(i int) *core.Result {
 		touch(i)
-		res, err := cb.RebuildWithDelta(prev, delta)
+		res, err := cb.Rebuild(prev)
 		if err != nil {
 			b.Fatal(err)
 		}

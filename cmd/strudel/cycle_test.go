@@ -1,5 +1,5 @@
 // Unit tests of the serve refresh cycle, driven directly rather than
-// through serveHandler: the mediator and the cycle run on fake clocks,
+// through newServing: the mediator and the cycle run on fake clocks,
 // and the publisher and the build ledger each write through their own
 // fault-injecting filesystem.
 package main
@@ -39,7 +39,7 @@ type cycleRig struct {
 	logs   *syncBuffer
 }
 
-// newCycleRig wires a cycle the way serveHandler does, except that
+// newCycleRig wires a cycle the way newServing does, except that
 // clock drives both the mediator and the cycle, and the filesystem
 // under the publisher (static mode) and the ledger is a FaultFS.
 func newCycleRig(t *testing.T, dynamic bool, clock *resilience.FakeClock) *cycleRig {
@@ -318,7 +318,7 @@ func TestCycleStepsUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, refresh, err := serveHandler(m, serveOptions{dynamic: dynamic, reg: telemetry.NewRegistry(),
+		h, c, err := newServing(m, serveOptions{dynamic: dynamic, reg: telemetry.NewRegistry(),
 			ops: true, hotPages: 2, logg: discardLogger()})
 		if err != nil {
 			t.Fatal(err)
@@ -355,7 +355,7 @@ func TestCycleStepsUnderLoad(t *testing.T) {
 			if err := os.WriteFile(bib, []byte(edited), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := refresh(); err != nil {
+			if err := c.step("interval"); err != nil {
 				t.Fatalf("dynamic=%v: refresh %d: %v", dynamic, i, err)
 			}
 		}

@@ -35,7 +35,7 @@ func TestServeLedgerCycle(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	stop := make(chan struct{})
 	defer close(stop)
-	h, refresh, err := serveHandler(m, serveOptions{
+	h, c, err := newServing(m, serveOptions{
 		reg:             reg,
 		ops:             true,
 		accessLog:       accessLog,
@@ -63,12 +63,12 @@ func TestServeLedgerCycle(t *testing.T) {
 	if err := os.WriteFile(bib, append(orig, []byte(extra)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := refresh(); err != nil {
+	if err := c.step("interval"); err != nil {
 		t.Fatal(err)
 	}
 	// A second, unchanged refresh records a noop cycle (same build
 	// content, no freshness stamp).
-	if err := refresh(); err != nil {
+	if err := c.step("interval"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -618,16 +618,6 @@ func (o *serveOptions) observability(ireg *telemetry.Registry) (server.Observabi
 	}
 }
 
-// serveHandler is newServing for callers that drive refreshes
-// themselves: the returned function runs one interval step.
-func serveHandler(m *manifest, opts serveOptions) (http.Handler, func() error, error) {
-	h, c, err := newServing(m, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, func() error { return c.step("interval") }, nil
-}
-
 // newServing builds the HTTP handler for a manifest — the edge over
 // the materialized site or click-time evaluation, with /query for
 // ad-hoc StruQL queries — plus the cycle that keeps it current, whose

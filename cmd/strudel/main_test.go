@@ -165,12 +165,12 @@ func TestServeHandlerStaticAndDynamic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, refresh, err := serveHandler(m, serveOptions{dynamic: dynamic, logg: discardLogger()})
+		h, c, err := newServing(m, serveOptions{dynamic: dynamic, logg: discardLogger()})
 		if err != nil {
 			t.Fatalf("dynamic=%v: %v", dynamic, err)
 		}
-		if refresh == nil {
-			t.Fatalf("dynamic=%v: nil refresh func", dynamic)
+		if c == nil {
+			t.Fatalf("dynamic=%v: nil refresh cycle", dynamic)
 		}
 		srv := httptest.NewServer(h)
 		resp, err := http.Get(srv.URL + "/")
@@ -196,7 +196,7 @@ func TestServeHandlerQueryEndpointBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, _, err := serveHandler(m, serveOptions{dynamic: dynamic, logg: discardLogger()})
+		h, _, err := newServing(m, serveOptions{dynamic: dynamic, logg: discardLogger()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,16 +214,16 @@ func TestServeHandlerQueryEndpointBothModes(t *testing.T) {
 	}
 }
 
-// TestServeHandlerRefreshSwaps: the refresh function returned by
-// serveHandler rebuilds from the (changed) sources and swaps the new
-// site in while the server keeps running.
+// TestServeHandlerRefreshSwaps: an interval step of the cycle
+// newServing returns rebuilds from the (changed) sources and swaps the
+// new site in while the server keeps running.
 func TestServeHandlerRefreshSwaps(t *testing.T) {
 	dir := writeTestSite(t)
 	m, err := loadManifest(filepath.Join(dir, "site.manifest"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, refresh, err := serveHandler(m, serveOptions{dynamic: true, logg: discardLogger()})
+	h, c, err := newServing(m, serveOptions{dynamic: true, logg: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestServeHandlerRefreshSwaps(t *testing.T) {
 	if body := fetchBody("/page/PaperPage%28p1%29"); !strings.Contains(body, "Alpha") {
 		t.Fatalf("paper page = %q", body)
 	}
-	if err := refresh(); err != nil {
+	if err := c.step("interval"); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	// The refreshed renderer serves the same site; page keys resolve
@@ -269,7 +269,7 @@ func TestServeHandlerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	h, _, err := serveHandler(m, serveOptions{dynamic: true, reg: reg, logg: discardLogger()})
+	h, _, err := newServing(m, serveOptions{dynamic: true, reg: reg, logg: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestServeHandlerIntrospectionEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		h, _, err := serveHandler(m, serveOptions{dynamic: dynamic, reg: reg, logg: discardLogger()})
+		h, _, err := newServing(m, serveOptions{dynamic: dynamic, reg: reg, logg: discardLogger()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -143,7 +143,7 @@ func TestServeHandlerPublishesGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := serveOptions{logg: discardLogger(), pub: publish.New(nil, out, 3)}
-	h, refresh, err := serveHandler(m, opts)
+	h, c, err := newServing(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestServeHandlerPublishesGenerations(t *testing.T) {
 	}
 
 	// Unchanged sources: the refresh is a noop and must not publish.
-	if err := refresh(); err != nil {
+	if err := c.step("interval"); err != nil {
 		t.Fatal(err)
 	}
 	if gdir2, _ := publish.Current(nil, out); gdir2 != gdir {
@@ -174,7 +174,7 @@ func TestServeHandlerPublishesGenerations(t *testing.T) {
 	if err := os.WriteFile(bib, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := refresh(); err != nil {
+	if err := c.step("interval"); err != nil {
 		t.Fatal(err)
 	}
 	gdir3, err := publish.Current(nil, out)
@@ -224,7 +224,7 @@ func TestServeHandlerPublishFailureKeepsServing(t *testing.T) {
 	// every later write fail with ENOSPC.
 	fault := fsx.NewFaultFS(fsx.OS)
 	opts := serveOptions{logg: discardLogger(), pub: publish.New(fault, out, 3)}
-	h, refresh, err := serveHandler(m, opts)
+	h, c, err := newServing(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestServeHandlerPublishFailureKeepsServing(t *testing.T) {
 	if err := os.WriteFile(bib, []byte(strings.ReplaceAll(string(data), "Alpha", "Gamma")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := refresh(); err == nil {
+	if err := c.step("interval"); err == nil {
 		t.Fatal("refresh succeeded although publication could not commit")
 	} else if !strings.Contains(err.Error(), "publish failed") {
 		t.Fatalf("refresh error = %v", err)
@@ -263,7 +263,7 @@ func TestServeHandlerPublishFailureKeepsServing(t *testing.T) {
 	}
 
 	fault.LimitBytes(-1)
-	if err := refresh(); err != nil {
+	if err := c.step("interval"); err != nil {
 		t.Fatalf("refresh after the disk recovered: %v", err)
 	}
 	if gdir3, _ := publish.Current(nil, out); filepath.Base(gdir3) != "gen-1" {

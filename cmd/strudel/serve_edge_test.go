@@ -22,7 +22,7 @@ func TestServeHandlerEdgeModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, refresh, err := serveHandler(m, serveOptions{
+		h, c, err := newServing(m, serveOptions{
 			dynamic:  dynamic,
 			hotPages: 4,
 			compress: true,
@@ -31,8 +31,8 @@ func TestServeHandlerEdgeModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dynamic=%v: %v", dynamic, err)
 		}
-		if refresh == nil {
-			t.Fatalf("dynamic=%v: nil refresh func", dynamic)
+		if c == nil {
+			t.Fatalf("dynamic=%v: nil refresh cycle", dynamic)
 		}
 		srv := httptest.NewServer(h)
 

@@ -1,5 +1,5 @@
 // End-to-end tests for the serving observability surface: the full
-// wiring from serve flags through serveHandler to /healthz, /readyz,
+// wiring from serve flags through newServing to /healthz, /readyz,
 // /debug/ops and the `strudel top` dashboard, over a real site built
 // from a real manifest.
 package main
@@ -44,20 +44,20 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-func opsServer(t *testing.T, opts serveOptions) (*httptest.Server, func() error) {
+func opsServer(t *testing.T, opts serveOptions) *httptest.Server {
 	t.Helper()
 	dir := writeTestSite(t)
 	m, err := loadManifest(filepath.Join(dir, "site.manifest"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, refresh, err := serveHandler(m, opts)
+	h, _, err := newServing(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	return srv, refresh
+	return srv
 }
 
 func getStatus(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -77,7 +77,7 @@ func getStatus(t *testing.T, srv *httptest.Server, path string) (int, string) {
 func TestServeOpsSurface(t *testing.T) {
 	accessLog := &syncBuffer{}
 	reg := telemetry.NewRegistry()
-	srv, _ := opsServer(t, serveOptions{
+	srv := opsServer(t, serveOptions{
 		dynamic:   true,
 		reg:       reg,
 		ops:       true,
@@ -211,7 +211,7 @@ func TestServeOpsSurface(t *testing.T) {
 // TestServeOpsWithoutMetrics: -ops alone spins up an internal registry
 // for the gauges without mounting /metrics or the debug endpoints.
 func TestServeOpsWithoutMetrics(t *testing.T) {
-	srv, _ := opsServer(t, serveOptions{
+	srv := opsServer(t, serveOptions{
 		dynamic: true,
 		ops:     true,
 		logg:    discardLogger(),
@@ -239,7 +239,7 @@ func TestServeReadyAfterDegradedRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, refresh, err := serveHandler(m, serveOptions{dynamic: true, ops: true, logg: discardLogger()})
+	h, c, err := newServing(m, serveOptions{dynamic: true, ops: true, logg: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestServeReadyAfterDegradedRefresh(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "refs.bib")); err != nil {
 		t.Fatal(err)
 	}
-	if err := refresh(); err != nil {
+	if err := c.step("interval"); err != nil {
 		t.Fatalf("refresh after source loss: %v", err)
 	}
 	if code, body := getStatus(t, srv, "/readyz"); code != 200 {
@@ -289,7 +289,7 @@ func TestServeNoopRefreshRevalidates(t *testing.T) {
 			clock := resilience.NewFakeClock(time.Now().Add(-2 * time.Hour))
 			m.builder.SetResilience(mediator.Resilience{Clock: clock})
 			reg := telemetry.NewRegistry()
-			h, refresh, err := serveHandler(m, serveOptions{
+			h, c, err := newServing(m, serveOptions{
 				dynamic: mode == "dynamic", reg: reg, ops: true, hotPages: 4, logg: discardLogger(),
 			})
 			if err != nil {
@@ -298,7 +298,7 @@ func TestServeNoopRefreshRevalidates(t *testing.T) {
 			srv := httptest.NewServer(h)
 			defer srv.Close()
 			clock.Advance(time.Hour)
-			if err := refresh(); err != nil {
+			if err := c.step("interval"); err != nil {
 				t.Fatal(err)
 			}
 			if code, _ := getStatus(t, srv, "/"); code != 200 {
@@ -341,7 +341,7 @@ func TestServeNoopRefreshRevalidates(t *testing.T) {
 // TestRunTopSingleShot renders one dashboard frame against a live
 // serving process and checks the operator-facing text.
 func TestRunTopSingleShot(t *testing.T) {
-	srv, _ := opsServer(t, serveOptions{
+	srv := opsServer(t, serveOptions{
 		dynamic:   true,
 		ops:       true,
 		sloTarget: time.Second,

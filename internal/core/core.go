@@ -52,15 +52,14 @@ type Builder struct {
 	workers     int
 	telem       *telemetry.Registry
 
-	// Differential evaluation state (dataGraph mode only): journals of
-	// in-place data-graph mutations, and the materialized binding
-	// relations primed by the last full build. matLog feeds
-	// RebuildWithDelta's differential fast path, dynLog feeds
-	// RebuildDynamic's selective cache eviction; they are separate
-	// because each consumer drains its journal independently.
+	// Incremental state (dataGraph mode only): the journal of in-place
+	// data-graph mutations, the site whose build last drained it (its
+	// baseline: nil until a Build or Rebuild succeeds after the drain),
+	// and the materialized binding relations the differential branch
+	// maintains, primed by the last full evaluation.
 	differential bool
-	matLog       *graph.ChangeLog
-	dynLog       *graph.ChangeLog
+	journal      *graph.ChangeLog
+	base         *sitegen.Site
 	mat          *struql.Materialized
 }
 
@@ -126,31 +125,25 @@ func (b *Builder) AddMapping(querySrc string) error {
 
 // SetDataGraph supplies the data graph directly, bypassing wrappers
 // and mediation (useful when the data is already in graph form). The
-// builder watches the graph's mutation journal from here on, which is
-// what lets RebuildWithDelta maintain the site differentially and
-// RebuildDynamic evict caches selectively.
+// builder journals the graph's mutations from here on, which is what
+// lets Rebuild find what changed since the last build and maintain the
+// site incrementally.
 func (b *Builder) SetDataGraph(g *graph.Graph) {
 	if b.dataGraph != nil {
-		if b.matLog != nil {
-			b.dataGraph.Unwatch(b.matLog)
-		}
-		if b.dynLog != nil {
-			b.dataGraph.Unwatch(b.dynLog)
-		}
+		b.dataGraph.Unwatch(b.journal)
 	}
 	b.dataGraph = g
-	b.mat = nil
-	b.matLog, b.dynLog = graph.NewChangeLog(), graph.NewChangeLog()
-	g.Watch(b.matLog)
-	g.Watch(b.dynLog)
+	b.mat, b.base = nil, nil
+	b.journal = graph.NewChangeLog()
+	g.Watch(b.journal)
 }
 
 // SetDifferential toggles differential site maintenance (on by
-// default). When on, a full build over a SetDataGraph graph primes
-// materialized binding relations, and RebuildWithDelta propagates the
+// default). When on, a full evaluation over a SetDataGraph graph
+// primes materialized binding relations, and Rebuild propagates the
 // journaled mutations through them instead of re-evaluating the
-// site-definition queries — falling back to a full rebuild whenever
-// the maintained state cannot be trusted.
+// site-definition queries — falling back to re-evaluation whenever the
+// maintained state cannot be trusted.
 func (b *Builder) SetDifferential(on bool) {
 	b.differential = on
 	if !on {
@@ -179,8 +172,9 @@ func (b *Builder) AddQuery(src string) error {
 		return err
 	}
 	b.queries = append(b.queries, q)
-	// Any primed materialization describes the old query set.
-	b.mat = nil
+	// Any primed materialization or journal baseline describes the old
+	// query set.
+	b.mat, b.base = nil, nil
 	return nil
 }
 
@@ -440,7 +434,7 @@ func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Poo
 // greedy ordering) and no provenance recording (which the replica does
 // not reproduce).
 func (b *Builder) canDifferential() bool {
-	return b.differential && b.dataGraph != nil && b.matLog != nil &&
+	return b.differential && b.dataGraph != nil &&
 		!b.optimize && !b.introspect && len(b.queries) > 0
 }
 
@@ -458,7 +452,7 @@ func (b *Builder) captureSet() []*struql.Capture {
 }
 
 // primeDifferential rebuilds the materialized binding relations from a
-// completed full evaluation and resets the journal baseline to "now".
+// completed full evaluation.
 func (b *Builder) primeDifferential(data, site *graph.Graph, caps []*struql.Capture) {
 	b.mat = nil
 	if caps == nil {
@@ -468,7 +462,6 @@ func (b *Builder) primeDifferential(data, site *graph.Graph, caps []*struql.Capt
 	if err != nil {
 		return // differential stays off until the next full build
 	}
-	b.matLog.Take() // the site now reflects everything journaled so far
 	b.mat = mat
 }
 
@@ -516,6 +509,10 @@ func (b *Builder) Build() (*Result, error) {
 	res.DataGraph = data
 	if b.dataGraph == nil {
 		res.Refresh = b.med.LastReport()
+	} else {
+		// This build's data is the journal's new baseline once it succeeds.
+		b.journal.Take()
+		b.base = nil
 	}
 
 	qsp := tr.Root().Child("query")
@@ -573,6 +570,9 @@ func (b *Builder) Build() (*Result, error) {
 	res.Site = htmlSite
 
 	b.primeDifferential(data, site, caps)
+	if b.dataGraph != nil {
+		b.base = htmlSite
+	}
 
 	// NumNodes/NumEdges, not Stats(): its label census walks every edge.
 	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
@@ -617,10 +617,6 @@ func (b *Builder) BuildDynamic() (*incremental.Renderer, error) {
 	data, err := b.buildDataGraph()
 	if err != nil {
 		return nil, err
-	}
-	if b.dynLog != nil {
-		// The decomposition reflects the data as of now.
-		b.dynLog.Take()
 	}
 	dec := incremental.Decompose(b.queries[0], data, b.Registry())
 	dec.UsePool(b.buildPool())

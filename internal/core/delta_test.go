@@ -4,14 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"strudel/internal/datadef"
 	"strudel/internal/graph"
 	"strudel/internal/telemetry"
 	"strudel/internal/workload"
 )
 
-// retitle swaps one publication's title in place and returns the
-// corresponding conservative delta.
-func retitle(t *testing.T, g *graph.Graph, name, newTitle string) *graph.Delta {
+// retitle swaps one publication's title in place; the builder's change
+// journal records the edit.
+func retitle(t *testing.T, g *graph.Graph, name, newTitle string) {
 	t.Helper()
 	id, ok := g.NodeByName(name)
 	if !ok {
@@ -27,13 +28,13 @@ func retitle(t *testing.T, g *graph.Graph, name, newTitle string) *graph.Delta {
 	if err := g.AddEdge(id, "title", graph.Str(newTitle)); err != nil {
 		t.Fatal(err)
 	}
-	return &graph.Delta{ChangedObjects: []string{name}, TouchedLabels: []string{"title"}}
 }
 
 // TestRebuildWithDeltaSelective is the regression guard of the delta
-// pipeline: touching one object re-renders only pages the schema
-// analysis marks affected — verified through the telemetry counters —
-// and the result is byte-identical to a from-scratch build.
+// pipeline's selective branch: touching one object re-renders only
+// pages the schema analysis of the journaled delta marks affected —
+// verified through the telemetry counters — and the result is
+// byte-identical to a from-scratch build.
 func TestRebuildWithDeltaSelective(t *testing.T) {
 	const n = 30
 	reg := telemetry.NewRegistry()
@@ -50,8 +51,8 @@ func TestRebuildWithDeltaSelective(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	delta := retitle(t, data, "pub7", "A Fresh Title")
-	res, err := b.RebuildWithDelta(prev, delta)
+	retitle(t, data, "pub7", "A Fresh Title")
+	res, err := b.Rebuild(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +133,8 @@ func TestRebuildWithDeltaDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := retitle(t, data, "pub7", "A Fresh Title")
-	res, err := b.RebuildWithDelta(prev, delta)
+	retitle(t, data, "pub7", "A Fresh Title")
+	res, err := b.Rebuild(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +147,9 @@ func TestRebuildWithDeltaDifferential(t *testing.T) {
 	}
 	if info.Site.Reused == 0 {
 		t.Fatal("a one-object touch must reuse pages")
+	}
+	if d := info.Data; d == nil || len(d.ChangedObjects) != 1 || d.ChangedObjects[0] != "pub7" {
+		t.Errorf("differential rebuild keyed on data delta %+v, want pub7's edit", d)
 	}
 	fresh := bibBuilder(t, n)
 	freshData := workload.Bibliography(n, 42)
@@ -166,13 +170,81 @@ func TestRebuildWithDeltaDifferential(t *testing.T) {
 	}
 }
 
+// TestDifferentialCollisionReevaluates: a path collision that appears
+// in the maintained site graph sends the rebuild back to a full
+// re-evaluation, because a from-scratch build may order the collision
+// suffixes differently, and the summary names the cause.
+func TestDifferentialCollisionReevaluates(t *testing.T) {
+	const query = `INPUT D
+WHERE Items(x), x -> "title" -> t
+CREATE Page(x)
+LINK Page(x) -> "title" -> t
+OUTPUT Site`
+	// Both item names sanitize to the same page path.
+	item := func(g *graph.Graph, name, title string) {
+		oid := g.NewNode(name)
+		g.AddToCollection("Items", graph.NodeValue(oid))
+		if err := g.AddEdge(oid, "title", graph.Str(title)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	site := func(data *graph.Graph) *Builder {
+		b := NewBuilder("collide")
+		b.SetDataGraph(data)
+		if err := b.AddQuery(query); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddTemplate("Page", `<SFMT title>`); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	data := graph.New("D")
+	item(data, "a.b", "dot")
+	b := site(data)
+	prev, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.BindingDump() == nil {
+		t.Fatal("the build did not prime differential maintenance")
+	}
+	item(data, "a b", "space")
+	res, err := b.Rebuild(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := res.Incremental
+	if info == nil || info.Mode != "full" || info.Summary() != "rebuild: full (path collision)" {
+		t.Fatalf("incremental info = %+v (%s), want a full rebuild for the path collision", info, info.Summary())
+	}
+	if res.Site.Collisions != 1 {
+		t.Errorf("collisions = %d, want 1", res.Site.Collisions)
+	}
+	scratch := graph.New("D")
+	item(scratch, "a.b", "dot")
+	item(scratch, "a b", "space")
+	want, err := site(scratch).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Site.Pages) != len(want.Site.Pages) {
+		t.Fatalf("rebuild has %d pages, scratch has %d", len(res.Site.Pages), len(want.Site.Pages))
+	}
+	for path, wp := range want.Site.Pages {
+		if gp := res.Site.Pages[path]; gp == nil || gp.HTML != wp.HTML || gp.ETag != wp.ETag {
+			t.Errorf("%s differs from the scratch build", path)
+		}
+	}
+}
+
 func TestRebuildWithDeltaNoop(t *testing.T) {
 	b := bibBuilder(t, 10)
 	prev, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.RebuildWithDelta(prev, &graph.Delta{})
+	res, err := b.Rebuild(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,24 +256,6 @@ func TestRebuildWithDeltaNoop(t *testing.T) {
 	}
 	if res.Stats.PagesReused != len(prev.Site.Pages) {
 		t.Errorf("PagesReused = %d, want %d", res.Stats.PagesReused, len(prev.Site.Pages))
-	}
-}
-
-func TestRebuildWithNilDeltaIsFull(t *testing.T) {
-	b := bibBuilder(t, 10)
-	prev, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := b.RebuildWithDelta(prev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Incremental == nil || res.Incremental.Mode != "full" {
-		t.Fatalf("incremental info = %+v, want full", res.Incremental)
-	}
-	if res.Incremental.Site.Reused != 0 {
-		t.Error("a full rebuild must not claim reused pages")
 	}
 }
 
@@ -258,7 +312,7 @@ func TestRebuildDynamicAdoptsCache(t *testing.T) {
 		t.Fatal("edited source must produce a new renderer")
 	}
 	adopted := reg.Counter("strudel_dynamic_cache_events_total",
-		"Dynamic page-cache events (hit, miss, evict).", "event", "adopt").Value()
+		"Dynamic page-cache events (hit, miss, adopt).", "event", "adopt").Value()
 	if adopted == 0 {
 		t.Fatalf("no cache entries adopted; cached keys were %v", prev.Dec.CachedKeys())
 	}
@@ -421,6 +475,116 @@ OUTPUT Site`
 				path, gp.HTML, wp.HTML, res.Incremental.Mode)
 		}
 	}
+}
+
+// TestRebuildAfterFailedRebuildNamesCause: the rebuild after a failed
+// one has no delta that reaches from the last good result — through
+// the mediator the failed step committed its refresh, under
+// SetDataGraph it drained the change journal. It must render in full,
+// reuse no page, serve the edit, and name that cause in its summary
+// rather than claim there was no previous site.
+func TestRebuildAfterFailedRebuildNamesCause(t *testing.T) {
+	const content = `
+collection Publications { }
+object pub1 in Publications { title "Alpha" }
+object pub2 in Publications { title "Beta" }
+`
+	const query = `INPUT BIB
+WHERE Publications(x), x -> "title" -> t
+CREATE Page(x)
+LINK Page(x) -> "title" -> t, Page(x) -> "self" -> Page(x)
+COLLECT Roots(Page(x))
+OUTPUT Site`
+	edited := strings.Replace(content, `"Alpha"`, `"Alpha v2"`, 1)
+	configure := func(b *Builder) {
+		if err := b.AddQuery(query); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddTemplate("Page", `<SFMT title>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse := func(text string) *graph.Graph {
+		res, err := datadef.Parse("BIB", text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Graph
+	}
+	// failThenRebuild fails one rebuild on a self-embedding template,
+	// restores the template and rebuilds prev again.
+	failThenRebuild := func(t *testing.T, b *Builder, prev *Result) *Result {
+		t.Helper()
+		if err := b.AddTemplate("Page", `<SFMT self EMBED>`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Rebuild(prev); err == nil {
+			t.Fatal("a self-embedding template must fail the rebuild")
+		}
+		if err := b.AddTemplate("Page", `<SFMT title>`); err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.Rebuild(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	check := func(t *testing.T, res *Result) {
+		t.Helper()
+		info := res.Incremental
+		if info == nil || info.Mode != "full" {
+			t.Fatalf("incremental info = %+v, want full", info)
+		}
+		if info.Site.Reused != 0 {
+			t.Error("a full rebuild must not claim reused pages")
+		}
+		if got, want := info.Summary(), "rebuild: full (no delta baseline)"; got != want {
+			t.Errorf("Summary() = %q, want %q", got, want)
+		}
+		scratch := NewBuilder("scratch")
+		scratch.SetDataGraph(parse(edited))
+		configure(scratch)
+		want, err := scratch.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Site.Pages) != len(want.Site.Pages) {
+			t.Fatalf("rebuild has %d pages, scratch has %d", len(res.Site.Pages), len(want.Site.Pages))
+		}
+		for path, wp := range want.Site.Pages {
+			if gp := res.Site.Pages[path]; gp == nil || gp.HTML != wp.HTML || gp.ETag != wp.ETag {
+				t.Errorf("%s: rebuild serves %v, scratch build has %q", path, gp, wp.HTML)
+			}
+		}
+	}
+
+	t.Run("mediator", func(t *testing.T) {
+		text := content
+		b := NewBuilder("failed")
+		if err := b.AddSourceFunc("bib", "datadef", func() (string, error) { return text, nil }); err != nil {
+			t.Fatal(err)
+		}
+		configure(b)
+		prev, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = edited
+		check(t, failThenRebuild(t, b, prev))
+	})
+	t.Run("data graph", func(t *testing.T) {
+		data := parse(content)
+		b := NewBuilder("failed")
+		b.SetDataGraph(data)
+		configure(b)
+		prev, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		retitle(t, data, "pub1", "Alpha v2")
+		check(t, failThenRebuild(t, b, prev))
+	})
 }
 
 // TestStatsSizesMatchGraphStats: the O(1) node and edge counts a build

@@ -1,16 +1,20 @@
-// Incremental rebuilds: instead of re-rendering every page on each
-// data refresh, the builder diffs the data graph, maps the delta
-// through the site schema, re-evaluates the site-definition queries,
-// and re-renders only the pages whose reverse-reachability cone in the
-// new site graph intersects the changed objects. Query evaluation is
-// always re-run in full (StruQL evaluation is cheap relative to
-// rendering and re-evaluating is trivially conservative); page
-// rendering — the expensive phase — is selective.
+// Incremental rebuilds (paper Sec. 2.4, Fig. 5): the site is a view
+// kept current over changing data. Rebuild takes the data change since
+// the previous result — the mediator's warehouse delta, or the change
+// journal of a graph set with SetDataGraph — and runs it through one
+// pipeline. Only the query phase forks: with differential evaluation
+// primed, the journaled ops propagate through the materialized binding
+// relations and the site graph is maintained in place; otherwise the
+// site-definition queries re-run in full and the new site graph is
+// diffed against the previous one. Either way, only the pages in the
+// reverse-reachability cone of the touched site objects re-render; the
+// rest are adopted from the previous site by name. A change the
+// schema cannot see is a noop, and a rebuild with no usable change
+// renders in full and names the cause.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -27,23 +31,25 @@ import (
 
 // RebuildInfo describes how an incremental rebuild proceeded.
 type RebuildInfo struct {
-	// Mode is "noop" (nothing changed, previous result reused), "full"
-	// (no usable baseline or delta — everything re-rendered),
-	// "selective" (queries re-evaluated in full, only affected pages
-	// re-rendered), or "differential" (the journaled mutations were
-	// propagated through materialized binding relations; the queries
-	// were not re-evaluated at all).
+	// Mode is "noop" (nothing the site schema can see changed, the
+	// previous result is reused), "selective" (queries re-evaluated in
+	// full, only the touched cone re-rendered), "differential" (the
+	// journaled mutations were propagated through materialized binding
+	// relations; the queries were not re-evaluated at all) or "full"
+	// (every page re-rendered; Site.Reason names the cause).
 	Mode string
-	// Data is the data-graph delta the rebuild keyed on (nil when
-	// unknown, forcing a full rebuild).
+	// Data is the data-graph delta the rebuild keyed on: the mediator's
+	// warehouse delta, or the drained change journal as graph.OpsDelta.
+	// Nil only when there was none to key on (a full rebuild with no
+	// delta baseline or an overflowed journal).
 	Data *graph.Delta
 	// Impact is the delta mapped through the site schema.
 	Impact *schema.Impact
 	// Site reports page-level reuse (nil in noop mode).
 	Site *sitegen.DeltaStats
-	// Eval reports what differential evaluation did (differential mode
-	// only): tuples retained vs recomputed, blocks maintained vs
-	// re-bound, output lists repaired.
+	// Eval reports what differential evaluation did, when the
+	// differential branch ran: tuples retained vs recomputed, blocks
+	// maintained vs re-bound, output lists repaired.
 	Eval *struql.MatStats
 	// Invalidated lists the paths whose ETag changed relative to the
 	// previous build, sorted (new pages included, vanished pages not) —
@@ -127,27 +133,43 @@ func addCount(c *telemetry.Counter, n int) {
 	}
 }
 
-// Rebuild refreshes the mediated data graph and rebuilds the site
-// incrementally against a previous result: the mediator reports the
-// warehouse-level delta, and only pages the delta can reach re-render.
-// A nil prev, a first refresh (no delta baseline), or an explicit
-// SetDataGraph (whose mutations the builder cannot observe — use
-// RebuildWithDelta) all degrade to a full build. So does a prev built
-// from another warehouse than the one this refresh diffs against — a
-// rebuild failed after an earlier refresh committed — since that delta
-// would not reach from prev's data. The returned result is
-// byte-identical to a from-scratch Build over the same data.
+// Rebuild brings prev up to date with the data and rebuilds the site
+// incrementally: only pages the data change can reach re-render. The
+// change comes from one of two places. With the mediator, Rebuild
+// refreshes the sources and keys on the warehouse delta; a delta that
+// does not start at prev's data — a rebuild failed after an earlier
+// refresh committed — is dropped. Under SetDataGraph it drains the
+// graph's change journal, whose baseline is the last successful Build
+// or Rebuild: a prev other than that result, or an overflowed journal,
+// has no usable delta. Without a usable delta the rebuild renders in
+// full and names the cause (RebuildInfo.Summary). A nil prev runs
+// Build. The result is byte-identical to a from-scratch Build over the
+// same data.
 func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 	if prev == nil || prev.Site == nil || prev.SiteGraph == nil {
 		return b.Build()
 	}
 	if b.dataGraph != nil {
-		// In-place mutations are invisible here; only the caller knows
-		// what changed.
-		return b.Build()
+		ops, ok := b.journal.Take()
+		var delta *graph.Delta
+		cause := ""
+		switch {
+		case prev.Site != b.base:
+			cause = "no delta baseline"
+		case !ok:
+			cause = "journal overflowed"
+		default:
+			delta = graph.OpsDelta(ops)
+		}
+		b.base = nil // the journal is drained: only a success re-anchors it
+		res, err := b.rebuild(prev, b.dataGraph, nil, delta, ops, cause)
+		if err == nil {
+			b.base = res.Site
+		}
+		return res, err
 	}
-	// Mediation runs before rebuildFrom opens the rebuild trace, so it
-	// is timed here rather than as a span of it.
+	// Mediation runs before rebuild opens the rebuild trace, so it is
+	// timed here rather than as a span of it.
 	t0, a0 := time.Now(), telemetry.AllocBytes()
 	base, _ := b.med.Warehouse()
 	data, report, err := b.med.RefreshWithReport()
@@ -155,203 +177,15 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 		return nil, err
 	}
 	medTime, medAlloc := time.Since(t0), telemetry.AllocBytes()-a0
-	delta := report.Warehouse
-	if base != prev.DataGraph {
-		delta = nil
+	delta, cause := report.Warehouse, ""
+	if base != prev.DataGraph || delta == nil {
+		delta, cause = nil, "no delta baseline"
 	}
-	res, err := b.rebuildFrom(prev, data, report, delta)
+	res, err := b.rebuild(prev, data, report, delta, nil, cause)
 	if res != nil {
 		res.Stats.MediationTime, res.Stats.MediationAlloc = medTime, medAlloc
 	}
 	return res, err
-}
-
-// RebuildWithDelta rebuilds incrementally from an explicitly supplied
-// data graph delta — the caller mutated the graph set via SetDataGraph
-// and knows (or computed via graph.Diff) what changed. The delta must
-// over-approximate the actual change; a nil delta forces a full build.
-//
-// With differential evaluation primed (SetDataGraph + a prior full
-// Build, SetDifferential on), the supplied delta is not even needed:
-// the builder drains the data graph's mutation journal and propagates
-// it through the materialized binding relations, updating the previous
-// site graph in place and re-rendering only the pages whose
-// reverse-reachability cone the propagation touched. Whenever the
-// journal or the maintained state cannot be trusted, the call falls
-// back to the query-re-evaluation path above. Either way the result is
-// byte-identical to a from-scratch Build.
-func (b *Builder) RebuildWithDelta(prev *Result, delta *graph.Delta) (*Result, error) {
-	if prev == nil || prev.Site == nil || prev.SiteGraph == nil {
-		return b.Build()
-	}
-	data, err := b.buildDataGraph()
-	if err != nil {
-		return nil, err
-	}
-	if delta != nil {
-		// A nil delta is an explicit request for a full rebuild — honor
-		// it rather than trusting the journal.
-		if res, err := b.tryDifferential(prev, data); res != nil || err != nil {
-			if err == errDiffAbort {
-				// The apply died partway: the previous site graph may hold a
-				// partial mutation, so regenerate with no page reuse at all.
-				return b.rebuildFrom(prev, data, nil, nil)
-			}
-			return res, err
-		}
-	}
-	var report *mediator.RefreshReport
-	if b.dataGraph == nil {
-		report = b.med.LastReport()
-	}
-	return b.rebuildFrom(prev, data, report, delta)
-}
-
-// errDiffAbort signals that a differential apply failed after possibly
-// mutating the previous site graph: the caller must do a full rebuild
-// without reusing any previously rendered page.
-var errDiffAbort = errors.New("core: differential apply aborted")
-
-// tryDifferential attempts the differential fast path against prev.
-// It returns (nil, nil) when ineligible — the caller falls back to
-// query re-evaluation with the previous site intact — and errDiffAbort
-// when the maintained site graph can no longer back page reuse.
-func (b *Builder) tryDifferential(prev *Result, data *graph.Graph) (*Result, error) {
-	if !b.canDifferential() || !b.mat.Valid() {
-		return nil, nil
-	}
-	if prev.SiteGraph != b.mat.Output() {
-		return nil, nil // prev is not the site the materialization maintains
-	}
-	if prev.Site.Collisions != 0 {
-		// Collision suffixes depend on OID enumeration order, which
-		// in-place maintenance does not reproduce.
-		return nil, nil
-	}
-	ops, ok := b.matLog.Take()
-	if !ok {
-		b.mat.Invalidate("change log overflowed")
-		b.mat = nil
-		return nil, nil
-	}
-
-	tr := telemetry.NewTrace("rebuild " + b.name)
-	res := &Result{Trace: tr, DataGraph: data}
-	pl := b.buildPool()
-	a0 := telemetry.AllocBytes()
-	defer func() {
-		tr.Finish()
-		res.Stats.TotalTime = tr.Duration()
-		res.Stats.TotalAlloc = telemetry.AllocBytes() - a0
-		res.BuiltAt = time.Now()
-	}()
-	tr.Root().SetAttr("site", b.name)
-	tr.Root().SetAttr("workers", pl.Workers())
-
-	// NumNodes/NumEdges, not Stats(): the label census walks every edge,
-	// which would put an O(site) scan on the single-digit-ms fast path.
-	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
-	sch := prev.Schema
-	if sch == nil {
-		sch = b.siteSchema()
-	}
-	res.Schema = sch
-
-	if len(ops) == 0 {
-		info := &RebuildInfo{Mode: "noop"}
-		res.Incremental = info
-		res.SiteGraph = prev.SiteGraph
-		res.Site = prev.Site
-		res.Provenance = prev.Provenance
-		res.Violations = prev.Violations
-		res.DomainWarnings = prev.DomainWarnings
-		res.Stats.SiteNodes, res.Stats.SiteEdges = prev.SiteGraph.NumNodes(), prev.SiteGraph.NumEdges()
-		res.Stats.Pages = len(prev.Site.Pages)
-		res.Stats.PagesReused = len(prev.Site.Pages)
-		addCount(b.deltaPages("reused"), len(prev.Site.Pages))
-		b.countRebuild("noop")
-		tr.Root().SetAttr("mode", "noop")
-		return res, nil
-	}
-
-	qsp := tr.Root().Child("query")
-	st, err := b.mat.Apply(ops)
-	qsp.Finish()
-	res.Stats.QueryTime = qsp.Duration()
-	aQuery := telemetry.AllocBytes()
-	res.Stats.QueryAlloc = aQuery - a0
-	if err != nil {
-		b.mat = nil
-		return nil, errDiffAbort
-	}
-	b.countDiff(st)
-	site := prev.SiteGraph // maintained in place
-	res.SiteGraph = site
-	res.Stats.Bindings = st.RowsRetained + st.RowsAdded
-	info := &RebuildInfo{Mode: "differential", Eval: st}
-	res.Incremental = info
-
-	ver := tr.Root().Child("verify")
-	res.Violations = schema.VerifyAll(sch, site, b.constraints)
-	for _, q := range b.queries {
-		res.DomainWarnings = append(res.DomainWarnings,
-			struql.RangeCheckWith(q, data.HasCollection)...)
-	}
-	ver.Finish()
-	res.Stats.VerifyTime = ver.Duration()
-	aVerify := telemetry.AllocBytes()
-	res.Stats.VerifyAlloc = aVerify - aQuery
-
-	cone := site.ReverseReachable(st.Touched)
-
-	gsp := tr.Root().Child("generate")
-	gen := sitegen.New(site, sitegen.Config{
-		Templates:    b.templates,
-		EmbedOnly:    b.embedOnly,
-		Index:        b.index,
-		FileResolver: b.resolver,
-		Pool:         pl,
-	})
-	htmlSite, dstats, err := gen.RegenerateConeContext(context.Background(), prev.Site, cone, !st.Renumbered)
-	if err == nil && htmlSite == nil {
-		// Name-keyed wholesale reuse unavailable (unnamed page or path
-		// shift): take the conservative predicate path, which re-derives
-		// the full assignment and falls back to a full render as needed.
-		affected := func(oid graph.OID) bool {
-			_, ok := cone[oid]
-			return ok
-		}
-		htmlSite, dstats, err = gen.RegenerateDeltaContext(context.Background(), prev.Site, affected)
-	}
-	gsp.Finish()
-	res.Stats.GenerateTime = gsp.Duration()
-	res.Stats.GenerateAlloc = telemetry.AllocBytes() - aVerify
-	if err != nil {
-		return nil, err
-	}
-	if htmlSite.Collisions != 0 {
-		// A new collision suffix may not match what a from-scratch build
-		// would assign; hand the whole rebuild back to the full path.
-		b.mat.Invalidate("path collision in maintained site")
-		b.mat = nil
-		return nil, errDiffAbort
-	}
-	res.Site = htmlSite
-	info.Site = dstats
-	info.Invalidated = invalidatedPaths(prev.Site, htmlSite)
-	tr.Root().SetAttr("mode", info.Mode)
-	gsp.SetAttr("rendered", dstats.Rendered)
-	gsp.SetAttr("reused", dstats.Reused)
-	b.countRebuild("differential")
-	addCount(b.deltaPages("rendered"), dstats.Rendered)
-	addCount(b.deltaPages("reused"), dstats.Reused)
-	addCount(b.deltaPages("pruned"), len(dstats.PrunedPaths))
-
-	res.Stats.SiteNodes, res.Stats.SiteEdges = site.NumNodes(), site.NumEdges()
-	res.Stats.Pages = len(htmlSite.Pages)
-	res.Stats.PagesReused = dstats.Reused
-	res.Stats.PagesPruned = len(dstats.PrunedPaths)
-	return res, nil
 }
 
 // countDiff feeds differential-apply telemetry.
@@ -382,10 +216,17 @@ func (b *Builder) countDiff(st *struql.MatStats) {
 	blocks("rebound", st.BlocksRebound)
 }
 
-// rebuildFrom is the shared incremental pipeline: analyze the delta,
-// short-circuit when nothing can change, else re-evaluate the queries
-// and regenerate selectively.
-func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.RefreshReport, delta *graph.Delta) (*Result, error) {
+// rebuild is the one incremental pipeline. delta is the data change
+// since prev, and ops the same change as journal entries (SetDataGraph
+// only); a non-empty cause names why the rebuild must re-evaluate and
+// render in full instead. Only the query phase forks: with
+// differential evaluation primed, ops propagate through the
+// materialized binding relations and prev's site graph is maintained
+// in place; otherwise the queries re-run in full and the new site graph
+// is diffed against prev's. The pages in the reverse-reachability cone
+// of the touched site objects re-render; the rest are adopted.
+func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.RefreshReport,
+	delta *graph.Delta, ops []graph.Op, cause string) (*Result, error) {
 	tr := telemetry.NewTrace("rebuild " + b.name)
 	res := &Result{Trace: tr, DataGraph: data, Refresh: report}
 	pl := b.buildPool()
@@ -396,28 +237,28 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 		res.Stats.TotalAlloc = telemetry.AllocBytes() - a0
 		res.BuiltAt = time.Now()
 	}()
-
 	tr.Root().SetAttr("site", b.name)
 	tr.Root().SetAttr("workers", pl.Workers())
 
-	sch := b.siteSchema()
-	impact := schema.Analyze(sch, delta)
-	info := &RebuildInfo{Data: delta, Impact: impact}
-	res.Incremental = info
-
+	// NumNodes/NumEdges, not Stats(): the label census walks every edge,
+	// which would put an O(site) scan on the single-digit-ms fast path.
 	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
+	sch := b.siteSchema()
+	res.Schema = sch
+	info := &RebuildInfo{Data: delta, Impact: schema.Analyze(sch, delta)}
+	res.Incremental = info
+	// Collision suffixes depend on OID enumeration order, which in-place
+	// maintenance does not reproduce.
+	differential := cause == "" && b.canDifferential() && b.mat.Valid() && prev.Site.Collisions == 0
 
-	// Nothing the schema can see changed: the site graph — a function
-	// of the data graph and the queries — is provably identical, so the
-	// previous site is the new site.
-	if delta != nil && impact.Empty() {
+	// Nothing the schema can see changed: the site graph — a function of
+	// the data graph and the queries — is provably the previous one. The
+	// materialization must still see every journaled op.
+	if cause == "" && info.Impact.Empty() && (!differential || len(ops) == 0) {
 		info.Mode = "noop"
-		res.SiteGraph = prev.SiteGraph
-		res.Schema = prev.Schema
-		res.Site = prev.Site
+		res.SiteGraph, res.Site = prev.SiteGraph, prev.Site
 		res.Provenance = prev.Provenance
-		res.Violations = prev.Violations
-		res.DomainWarnings = prev.DomainWarnings
+		res.Violations, res.DomainWarnings = prev.Violations, prev.DomainWarnings
 		res.Stats.SiteNodes, res.Stats.SiteEdges = prev.SiteGraph.NumNodes(), prev.SiteGraph.NumEdges()
 		res.Stats.Pages = len(prev.Site.Pages)
 		res.Stats.PagesReused = len(prev.Site.Pages)
@@ -427,29 +268,43 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 		return res, nil
 	}
 
-	// Re-evaluate the site-definition queries in full — conservative by
-	// construction — then diff the site graphs to find which pages'
-	// dependency cones the change touches.
+	// The query phase: maintain the site graph, or re-evaluate it.
 	qsp := tr.Root().Child("query")
-	caps := b.captureSet()
-	qe, err := b.evalQueries(data, qsp, pl, false, caps)
-	if err == nil {
-		qsp.SetAttr("bindings", qe.bindings)
+	var site *graph.Graph
+	var touched []graph.OID
+	var caps []*struql.Capture
+	if differential {
+		st, err := b.mat.Apply(ops)
+		if err != nil {
+			// The apply died partway: prev's site graph may hold a partial
+			// mutation, so none of it can back page adoption.
+			b.mat = nil
+			differential, cause = false, "differential apply aborted"
+		} else {
+			b.countDiff(st)
+			info.Eval = st
+			site, touched = prev.SiteGraph, st.Touched
+			res.Stats.Bindings = st.RowsRetained + st.RowsAdded
+		}
 	}
+	if !differential {
+		caps = b.captureSet()
+		qe, err := b.evalQueries(data, qsp, pl, false, caps)
+		if err != nil {
+			return nil, err
+		}
+		site = qe.site
+		res.Stats.Bindings = qe.bindings
+		res.Provenance = qe.prov
+	}
+	qsp.SetAttr("bindings", res.Stats.Bindings)
 	qsp.Finish()
 	res.Stats.QueryTime = qsp.Duration()
 	aQuery := telemetry.AllocBytes()
 	res.Stats.QueryAlloc = aQuery - a0
-	if err != nil {
-		return nil, err
-	}
-	site := qe.site
 	res.SiteGraph = site
-	res.Stats.Bindings = qe.bindings
-	res.Provenance = qe.prov
 
 	ver := tr.Root().Child("verify")
-	res.Schema = sch
 	res.Violations = schema.VerifyAll(sch, site, b.constraints)
 	for _, q := range b.queries {
 		res.DomainWarnings = append(res.DomainWarnings,
@@ -460,29 +315,23 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 	aVerify := telemetry.AllocBytes()
 	res.Stats.VerifyAlloc = aVerify - aQuery
 
-	var affected func(graph.OID) bool
-	if delta != nil {
-		siteDelta := graph.Diff(prev.SiteGraph, site)
-		var starts []graph.OID
-		resolvable := true
-		for _, key := range append(append([]string{}, siteDelta.AddedObjects...), siteDelta.ChangedObjects...) {
-			oid, ok := site.ResolveKey(key)
-			if !ok {
-				// A changed object we cannot locate in the new site
-				// graph (should not happen for added/changed keys):
-				// give up on selectivity rather than risk staleness.
-				resolvable = false
-				break
-			}
-			starts = append(starts, oid)
-		}
-		if resolvable {
-			cone := site.ReverseReachable(starts)
-			affected = func(oid graph.OID) bool {
-				_, ok := cone[oid]
-				return ok
+	// A nil cone asks the generator for a full render.
+	var cone map[graph.OID]struct{}
+	if cause == "" {
+		if !differential {
+			// Diff compares edges and memberships by name, so an object
+			// outside the cone of the added and changed keys kept its
+			// name, template and path: the cone contract holds for a
+			// re-evaluated site graph too. Every key Diff reports for site
+			// resolves in it.
+			d := graph.Diff(prev.SiteGraph, site)
+			for _, key := range append(d.AddedObjects, d.ChangedObjects...) {
+				if oid, ok := site.ResolveKey(key); ok {
+					touched = append(touched, oid)
+				}
 			}
 		}
+		cone = site.ReverseReachable(touched)
 	}
 
 	gsp := tr.Root().Child("generate")
@@ -493,22 +342,37 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 		FileResolver: b.resolver,
 		Pool:         pl,
 	})
-	htmlSite, dstats, err := gen.RegenerateDeltaContext(context.Background(), prev.Site, affected)
+	htmlSite, dstats, err := gen.Regenerate(context.Background(), prev.Site, cone,
+		differential && !info.Eval.Renumbered)
 	gsp.Finish()
 	res.Stats.GenerateTime = gsp.Duration()
 	res.Stats.GenerateAlloc = telemetry.AllocBytes() - aVerify
 	if err != nil {
 		return nil, err
 	}
+	if differential && htmlSite.Collisions != 0 {
+		// A from-scratch build may assign the new collision suffixes
+		// differently: re-evaluate instead.
+		b.mat = nil
+		return b.rebuild(prev, data, report, delta, ops, "path collision")
+	}
+	if cause != "" {
+		dstats.Reason = cause
+	}
 	res.Site = htmlSite
 	info.Site = dstats
 	info.Invalidated = invalidatedPaths(prev.Site, htmlSite)
-	if dstats.Full {
+	switch {
+	case dstats.Full:
 		info.Mode = "full"
-	} else {
+	case differential:
+		info.Mode = "differential"
+	default:
 		info.Mode = "selective"
 	}
-	b.primeDifferential(data, site, caps)
+	if !differential {
+		b.primeDifferential(data, site, caps)
+	}
 	tr.Root().SetAttr("mode", info.Mode)
 	gsp.SetAttr("rendered", dstats.Rendered)
 	gsp.SetAttr("reused", dstats.Reused)
@@ -530,26 +394,14 @@ func (b *Builder) rebuildFrom(prev *Result, data *graph.Graph, report *mediator.
 // When the refresh kept the warehouse prev renders from, prev itself
 // is returned. A nil prev, no delta baseline, or a delta that does not
 // start at prev's data (a rebuild failed after an earlier refresh
-// committed) builds a fresh (cold-cache) renderer.
+// committed) builds a fresh (cold-cache) renderer, and so does every
+// call under SetDataGraph.
 func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Renderer, error) {
 	if prev == nil {
 		return b.BuildDynamic()
 	}
 	if b.dataGraph != nil {
-		// In-place data mutation: same decomposition, and the mutation
-		// journal tells us exactly which cached classes to evict. An
-		// overflowed (or absent) journal degrades to dropping everything.
-		if b.dynLog != nil {
-			if ops, ok := b.dynLog.Take(); ok {
-				prev.Dec.InvalidateDelta(graph.OpsDelta(ops))
-			} else {
-				prev.Dec.InvalidateCache()
-			}
-		} else {
-			prev.Dec.InvalidateDelta(nil)
-		}
-		prev.BuiltAt = time.Now()
-		return prev, nil
+		return b.BuildDynamic()
 	}
 	in := prev.Dec.Input()
 	base, _ := b.med.Warehouse()
@@ -590,7 +442,7 @@ func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Rende
 	if b.telem != nil {
 		r.Instrument(b.telem)
 		b.telem.Counter("strudel_dynamic_cache_events_total",
-			"Dynamic page-cache events (hit, miss, evict).", "event", "adopt").Add(adopted)
+			"Dynamic page-cache events (hit, miss, adopt).", "event", "adopt").Add(adopted)
 	}
 	return r, nil
 }

@@ -10,8 +10,11 @@ import (
 // references by symbolic name into the new input graph (OIDs are not
 // stable across warehouse refreshes; names are). Entries of affected
 // classes, and entries touching unnamed or vanished nodes, are dropped
-// — conservatively recomputed on the next click. Returns the number of
-// entries adopted.
+// — conservatively recomputed on the next click. Cached PageData holds
+// exactly the page's own out-edges (link targets are identified by
+// key, not content), so direct class sensitivity, without the render
+// closure, is enough for soundness. Returns the number of entries
+// adopted.
 func (d *Decomposition) AdoptCache(prev *Decomposition, im *schema.Impact) int {
 	if prev == nil || im == nil || im.All {
 		return 0

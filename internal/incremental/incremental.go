@@ -109,9 +109,9 @@ type Stats struct {
 }
 
 // decompMetrics are the decomposition's telemetry handles (nil when
-// not instrumented); they mirror Stats plus eviction counts.
+// not instrumented); they mirror Stats.
 type decompMetrics struct {
-	hits, misses, evictions, bindings *telemetry.Counter
+	hits, misses, bindings *telemetry.Counter
 }
 
 // Decomposition is a site-definition query split into per-page
@@ -126,7 +126,7 @@ type Decomposition struct {
 	pages    map[string][]pageClause
 	collects []collectClause
 	// siteSchema is the query's site schema, kept for delta-driven
-	// selective cache invalidation.
+	// cache adoption across refreshes (AdoptCache).
 	siteSchema *schema.SiteSchema
 	// pl bounds how many pages MaterializeAll computes concurrently; a
 	// nil pool runs with runtime.GOMAXPROCS(0) workers. Set it (via
@@ -192,20 +192,19 @@ func Decompose(q *struql.Query, input *graph.Graph, reg *struql.Registry) *Decom
 func (d *Decomposition) Schema() *schema.SiteSchema { return d.siteSchema }
 
 // Instrument makes the decomposition report cache behaviour into a
-// telemetry registry: page-cache hits, misses and evictions, and the
+// telemetry registry: page-cache hits and misses, and the
 // number of binding rows computed at click time. Call before serving
 // traffic; the existing Stats accessor keeps working either way.
 func (d *Decomposition) Instrument(reg *telemetry.Registry) {
 	cache := func(event string) *telemetry.Counter {
 		return reg.Counter("strudel_dynamic_cache_events_total",
-			"Dynamic page-cache events (hit, miss, evict).", "event", event)
+			"Dynamic page-cache events (hit, miss, adopt).", "event", event)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.met = &decompMetrics{
-		hits:      cache("hit"),
-		misses:    cache("miss"),
-		evictions: cache("evict"),
+		hits:   cache("hit"),
+		misses: cache("miss"),
 		bindings: reg.Counter("strudel_dynamic_bindings_total",
 			"Binding rows computed by click-time query evaluation."),
 	}
@@ -259,55 +258,8 @@ func (d *Decomposition) Stats() Stats {
 	return d.stats
 }
 
-// InvalidateCache drops all cached pages (call after a data-graph
-// change of unknown shape). Dropped entries count as evictions. When
-// the change is known, InvalidateDelta keeps unaffected classes' pages.
-func (d *Decomposition) InvalidateCache() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.cache)
-	if d.met != nil {
-		d.met.evictions.Add(n)
-	}
-	d.cache = map[string]*PageData{}
-	return n
-}
-
-// InvalidateDelta drops only the cached pages of classes the delta can
-// affect, per the site schema's dependency analysis, and returns the
-// number of evicted entries. Cached PageData holds exactly the page's
-// own out-edges (link targets are identified by key, not content), so
-// direct class sensitivity — without the render closure — is sufficient
-// for cache soundness. A nil delta degrades to InvalidateCache.
-func (d *Decomposition) InvalidateDelta(delta *graph.Delta) int {
-	return d.InvalidateImpact(schema.Analyze(d.siteSchema, delta))
-}
-
-// InvalidateImpact is InvalidateDelta for a precomputed impact.
-func (d *Decomposition) InvalidateImpact(im *schema.Impact) int {
-	if im == nil || im.All {
-		return d.InvalidateCache()
-	}
-	if im.Empty() {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for key, pd := range d.cache {
-		if im.Affected(pd.Ref.Func) {
-			delete(d.cache, key)
-			n++
-		}
-	}
-	if d.met != nil && n > 0 {
-		d.met.evictions.Add(n)
-	}
-	return n
-}
-
 // CachedKeys returns the keys of all cached pages, sorted; tests use it
-// to observe which entries an invalidation kept.
+// to observe which entries a refresh kept.
 func (d *Decomposition) CachedKeys() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,10 +1,11 @@
-// Delta-driven regeneration: re-render only the pages a data change
-// can reach, reuse the rest from the previous site, and report what
+// Incremental regeneration: re-render only the pages a change can
+// reach, adopt the rest from the previous site, and report what
 // happened so callers can prune orphaned output files and feed
-// telemetry. Reuse is keyed on symbolic page names — the only identity
-// stable across site-graph re-evaluations — and falls back to a full
-// render whenever that identity is unavailable or the path assignment
-// shifted, so the result is always byte-identical to Generate.
+// telemetry. Adoption is keyed on symbolic page names — the only
+// identity stable across site-graph re-evaluations — and falls back to
+// a full render whenever that identity is unavailable or a path
+// assignment could differ, so the result is always byte-identical to
+// Generate.
 package sitegen
 
 import (
@@ -17,7 +18,7 @@ import (
 	"strudel/internal/graph"
 )
 
-// DeltaStats reports what RegenerateDelta did.
+// DeltaStats reports what Regenerate did.
 type DeltaStats struct {
 	// Rendered and Reused count pages re-rendered versus carried over
 	// from the previous site.
@@ -27,83 +28,57 @@ type DeltaStats struct {
 	// PrunedPaths lists previous-site paths absent from the new site,
 	// sorted; SyncTo removes the corresponding files.
 	PrunedPaths []string
-	// Full is set when reuse was impossible and every page rendered;
-	// Reason says why.
+	// Full is set when adoption was not provably safe and every page
+	// rendered. Reason says why: "no previous site", "no change set",
+	// "unnamed page object", "path collision" or "path shift for
+	// <page>". A caller that asked for the full render (nil cone) may
+	// replace it with its own cause.
 	Full   bool
 	Reason string
 }
 
-// RegenerateDelta renders the generator's site graph, reusing pages of
-// prev whose objects the affected predicate clears. A page is reused
-// only when its symbolic name and output path are unchanged from prev
-// and affected(oid) is false; affected must over-approximate — it must
-// return true for every page whose rendered form could differ (its own
-// edges, anything it embeds, and the titles of pages it links to — i.e.
-// the reverse-reachability cone of the changed objects).
+// Regenerate renders the generator's site graph against prev, the site
+// rendered before a change, re-rendering only the page objects in cone
+// and adopting every other page of prev by name. An adopted page keeps
+// its bytes, title and entity tag: its closure avoided the change, so
+// conditional requests keep answering 304 across the swap.
 //
-// Whenever name-keyed reuse is not provably safe — an unnamed page
-// object, or a page whose path changed between the two assignments
-// (collision-suffix shifts move links in *other* pages' HTML) — the
-// whole site renders from scratch and DeltaStats.Full is set.
-func (g *Generator) RegenerateDelta(prev *Site, affected func(graph.OID) bool) (*Site, *DeltaStats, error) {
-	return g.RegenerateDeltaContext(context.Background(), prev, affected)
-}
-
-// RegenerateDeltaContext is RegenerateDelta with cancellation.
-func (g *Generator) RegenerateDeltaContext(ctx context.Context, prev *Site, affected func(graph.OID) bool) (*Site, *DeltaStats, error) {
-	site, pageOIDs := g.assignPaths()
+// The contract: cone over-approximates every object whose page — or
+// whose linking pages — could have changed since prev was rendered,
+// typically the site graph's reverse-reachability cone of the objects
+// the change touched. A page object outside the cone then kept its
+// name, its template association and therefore its path, so prev's
+// assignment is adopted wholesale (O(pages) map work) instead of
+// re-deriving template selection for every node the way Generate does;
+// only cone objects get fresh selection, paths and renders. The site
+// graph may be the one prev was rendered over, maintained in place, or
+// a fresh evaluation whose objects keep prev's names.
+//
+// oidsStable asserts that the site graph is the one prev was rendered
+// over and no OID changed since: adopted pages are then shared as-is —
+// no per-page name resolution, no copies. Otherwise each adopted page
+// is re-keyed to the node now bearing its name. Pages are immutable
+// once rendered, and only freshly rendered pages are written to, so
+// sharing is safe.
+//
+// When name-keyed adoption is not provably safe, every page renders
+// exactly as Generate would and DeltaStats.Full names the reason: no
+// previous site, a nil cone (the caller knows no change set), an
+// unnamed page object, a path collision in prev or in the new
+// assignment (suffixes follow OID order), or a cone page whose path
+// moved (links to it in adopted pages would go stale).
+func (g *Generator) Regenerate(ctx context.Context, prev *Site, cone map[graph.OID]struct{}, oidsStable bool) (*Site, *DeltaStats, error) {
 	st := &DeltaStats{}
-
-	full := func(reason string) (*Site, *DeltaStats, error) {
+	site, render, reason := g.adopt(prev, cone, oidsStable)
+	if reason != "" {
+		site, render = g.assignPaths()
 		st.Full, st.Reason = true, reason
-		st.Rendered, st.Reused = len(pageOIDs), 0
-		st.RenderedPaths = site.Paths()
-		st.PrunedPaths = prunedPaths(prev, site)
-		if err := g.renderPages(ctx, site, pageOIDs); err != nil {
-			return nil, nil, err
-		}
-		return site, st, nil
-	}
-
-	if prev == nil || affected == nil {
-		return full("no previous site")
-	}
-	prevByName := make(map[string]*Page, len(prev.Pages))
-	for _, p := range prev.Pages {
-		if p.Name != "" {
-			prevByName[p.Name] = p
-		}
-	}
-	// A common page whose path moved invalidates links in pages the
-	// affected cone does not cover: bail out to a full render.
-	for _, p := range site.Pages {
-		if p.Name == "" {
-			continue
-		}
-		if pp, ok := prevByName[p.Name]; ok && pp.Path != p.Path {
-			return full("path shift for " + p.Name)
-		}
-	}
-
-	var render []graph.OID
-	for _, oid := range pageOIDs {
-		p := site.Pages[site.PathOf[oid]]
-		pp := prevByName[p.Name]
-		if p.Name != "" && pp != nil && pp.HTML != "" && !affected(oid) {
-			p.HTML = pp.HTML
-			p.Title = pp.Title
-			// The reused page's closure avoided the change (that is what
-			// affected over-approximates), so its entity tag is provably
-			// unchanged: carry it, and conditional requests keep
-			// answering 304 across the swap.
-			p.ETag = pp.ETag
-			st.Reused++
-			continue
-		}
-		render = append(render, oid)
-		st.RenderedPaths = append(st.RenderedPaths, p.Path)
 	}
 	st.Rendered = len(render)
+	st.Reused = len(site.Pages) - len(render)
+	for _, oid := range render {
+		st.RenderedPaths = append(st.RenderedPaths, site.PathOf[oid])
+	}
 	sort.Strings(st.RenderedPaths)
 	st.PrunedPaths = prunedPaths(prev, site)
 	if err := g.renderPages(ctx, site, render); err != nil {
@@ -112,52 +87,31 @@ func (g *Generator) RegenerateDeltaContext(ctx context.Context, prev *Site, affe
 	return site, st, nil
 }
 
-// RegenerateConeContext is the differential rebuilder's generation
-// path. Its contract: prev was rendered over the *same* site-graph
-// instance this generator holds, that graph was maintained in place,
-// and cone over-approximates every object whose page — or whose
-// linking pages — could have changed. Under that contract a page
-// object outside the cone kept its name, its template association and
-// therefore its path, so the previous assignment is adopted wholesale
-// (O(pages) map work) instead of re-deriving template selection for
-// every node the way assignPaths does; only cone objects get fresh
-// selection, paths and renders.
-//
-// oidsStable asserts that no output-graph OID changed since prev was
-// rendered (the maintenance layer reports whether it renumbered): the
-// carried pages' recorded OIDs are then still correct, so they are
-// shared as-is — no per-page name resolution, no copies. Pages are
-// immutable once rendered, and only freshly re-rendered pages (never
-// carried ones) are written to, so sharing is safe.
-//
-// Returns (nil, nil, nil) when name-keyed reuse is not provably safe —
-// an unnamed page object, or a cone page whose path moved (links in
-// pages outside the cone would go stale); the caller should fall back
-// to RegenerateDeltaContext. A non-zero Collisions on the returned
-// site means the assignment could not be trusted either: the caller
-// must discard the result (pages may be missing), since a from-scratch
-// build would have chosen enumeration-dependent suffixes.
-func (g *Generator) RegenerateConeContext(ctx context.Context, prev *Site, cone map[graph.OID]struct{}, oidsStable bool) (*Site, *DeltaStats, error) {
-	if prev == nil || prev.Collisions != 0 {
-		return nil, nil, nil
+// adopt carries prev's pages outside the cone into a new site and
+// assigns paths to the cone's page objects, returning the objects left
+// to render in OID order. A non-empty reason means adoption is unsafe
+// and the partial site must be discarded.
+func (g *Generator) adopt(prev *Site, cone map[graph.OID]struct{}, oidsStable bool) (*Site, []graph.OID, string) {
+	switch {
+	case prev == nil:
+		return nil, nil, "no previous site"
+	case cone == nil:
+		return nil, nil, "no change set"
+	case prev.Collisions != 0:
+		return nil, nil, "path collision"
 	}
-	st := &DeltaStats{}
-	site := &Site{
-		Pages:  make(map[string]*Page, len(prev.Pages)+1),
-		PathOf: make(map[graph.OID]string, len(prev.Pages)+1),
-	}
+	site := &Site{Pages: map[string]*Page{}, PathOf: map[graph.OID]string{}}
 	var render []graph.OID
 	// Previous paths of cone pages, for path-shift detection below.
 	prevPath := map[string]string{}
 	for _, p := range prev.Pages {
 		if p.Name == "" {
-			return nil, nil, nil // OID-keyed identity: unstable in place
+			return nil, nil, "unnamed page object"
 		}
 		oid := p.OID
 		if !oidsStable {
 			var ok bool
-			oid, ok = g.site.NodeByName(p.Name)
-			if !ok {
+			if oid, ok = g.site.NodeByName(p.Name); !ok {
 				continue // object removed; prunedPaths picks the page up
 			}
 		} else if !g.site.HasNode(oid) {
@@ -168,15 +122,15 @@ func (g *Generator) RegenerateConeContext(ctx context.Context, prev *Site, cone 
 			continue // re-derived below
 		}
 		np := p
-		if !oidsStable && oid != p.OID {
-			np = &Page{Path: p.Path, OID: oid, Name: p.Name, HTML: p.HTML, Title: p.Title, ETag: p.ETag}
+		if oid != p.OID || p.HTML == "" {
+			// The name string the site graph holds, not prev's copy: a
+			// re-evaluated graph would otherwise keep both alive.
+			np = &Page{Path: p.Path, OID: oid, Name: g.site.NodeName(oid), HTML: p.HTML, Title: p.Title, ETag: p.ETag}
 		}
 		site.Pages[p.Path] = np
 		site.PathOf[oid] = p.Path
 		if p.HTML == "" {
 			render = append(render, oid) // never rendered: do it now
-		} else {
-			st.Reused++
 		}
 	}
 	coneOIDs := make([]graph.OID, 0, len(cone))
@@ -190,31 +144,21 @@ func (g *Generator) RegenerateConeContext(ctx context.Context, prev *Site, cone 
 		}
 		name := g.site.NodeName(oid)
 		if name == "" {
-			return nil, nil, nil
+			return nil, nil, "unnamed page object"
 		}
 		path := g.pagePath(oid)
 		if pp, ok := prevPath[name]; ok && pp != path {
-			return nil, nil, nil // path shift: reuse unsafe site-wide
+			return nil, nil, "path shift for " + name
 		}
 		if _, taken := site.Pages[path]; taken {
-			site.Collisions++
-			return site, st, nil
+			return nil, nil, "path collision"
 		}
 		site.Pages[path] = &Page{Path: path, OID: oid, Name: name}
 		site.PathOf[oid] = path
 		render = append(render, oid)
 	}
 	sort.Slice(render, func(i, j int) bool { return render[i] < render[j] })
-	st.Rendered = len(render)
-	for _, oid := range render {
-		st.RenderedPaths = append(st.RenderedPaths, site.PathOf[oid])
-	}
-	sort.Strings(st.RenderedPaths)
-	st.PrunedPaths = prunedPaths(prev, site)
-	if err := g.renderPages(ctx, site, render); err != nil {
-		return nil, nil, err
-	}
-	return site, st, nil
+	return site, render, ""
 }
 
 // prunedPaths lists prev's paths that the new site no longer produces.

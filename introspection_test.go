@@ -139,7 +139,7 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 		seed := seed0 + int64(round)
 		mutate(t, cur, rand.New(rand.NewSource(seed)))
 		delta := graph.Diff(old, cur)
-		res, err := b.RebuildWithDelta(prev, delta)
+		res, err := b.Rebuild(prev)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -206,15 +206,12 @@ func runScript(t *testing.T, mk func(t *testing.T) *core.Builder,
 	if err != nil {
 		t.Fatal(err) // configuration error, not a property failure
 	}
-	old := fresh()
 	for i, op := range script {
 		apply(cur, op)
-		delta := graph.Diff(old, cur)
-		res, err := b.RebuildWithDelta(prev, delta)
+		res, err := b.Rebuild(prev)
 		if err != nil {
 			return fmt.Errorf("op %d: rebuild: %v", i, err)
 		}
-		apply(old, op)
 		prev = res
 	}
 	sdata := fresh()

@@ -62,13 +62,16 @@ crash:
 # the concurrent generator/evaluator/materializer, the example sites at
 # workers 1/4/16, the differential delta-rebuild suite (random edit
 # scripts, incremental vs. from-scratch, byte-identical at workers
-# 1/4/16), and the mediated rebuild property test (BibTeX edit scripts
+# 1/4/16), the mediated rebuild property test (BibTeX edit scripts
 # through the mediator and Rebuild, pages and ETags equal to a fresh
-# build at workers 1/4), all under the race detector, twice.
+# build at workers 1/4), and the provenance suite (on-demand page
+# provenance agrees with selective and differential rebuilds), all
+# under the race detector, twice.
 testpar:
 	$(GO) test -race -count=2 ./internal/pool/... ./internal/sitegen/... ./internal/struql/... ./internal/incremental/...
 	$(GO) test -race -count=2 -run 'Deterministic|Parallel|Golden' ./internal/core/ ./examples/...
 	$(GO) test -race -count=2 -run '^TestPropertyMediatedRebuild$$' .
+	$(GO) test -race -count=2 -run '^TestProvenanceTracksDeltaRebuilds$$' .
 	$(GO) test -race -count=2 -run 'Differential' .
 
 # Serving-edge load smoke: the deterministic load-generation

@@ -764,10 +764,9 @@ OUTPUT Partitioned`,
 // through the materialized binding relations (no query re-evaluation
 // at all), against a full from-scratch build of the same site. The
 // differential arm reports tuples retained vs recomputed and pages
-// rendered vs reused. On the partitioned shape a one-object touch on
-// the 10k-page site must land in single-digit milliseconds — the
-// acceptance target recorded in BENCH_incremental_eval.json; the bib
-// shape documents the render-bound floor of embed-heavy sites.
+// rendered vs reused. The partitioned shape is link-structured; the
+// bib shape documents embed-heavy sites, where one touch re-renders an
+// O(site) page. Snapshot: BENCH_incremental_eval.json.
 func BenchmarkIncrementalEval(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -960,38 +959,48 @@ func BenchmarkServeObservability(b *testing.B) {
 		run(server.InstrumentObserved(observed(telemetry.NewRegistry()), "static", edge), pageReq))
 }
 
-// BenchmarkExplainOverhead prices the introspection layer: the same
-// CNN-style build with provenance recording off and on, plus the
-// profiled query stage alone (what `strudel explain` and
-// /debug/explain execute). Recording happens on the sequential
-// construction stage and profiling on per-block counters, so both must
-// stay within noise of the plain build — the observability tax is paid
-// only when someone asks.
+// BenchmarkExplainOverhead prices the introspection layer on a
+// CNN-style site: the plain build, the profiled query stage alone (what
+// `strudel explain` and /debug/explain execute), and the on-demand
+// provenance evaluation over a built result (what `strudel why` adds to
+// a build and one /debug/provenance request costs). Builds never record
+// provenance, so the observability tax is paid only when someone asks.
 func BenchmarkExplainOverhead(b *testing.B) {
 	spec := workload.ArticleSpec(false)
 	data := workload.Articles(300, 1997)
-	buildLoop := func(introspect bool) func(*testing.B) {
-		return func(b *testing.B) {
-			cb := buildSpec(b, spec, data)
-			if introspect {
-				cb.EnableIntrospection()
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.Build(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("build-plain", func(b *testing.B) {
+		cb := buildSpec(b, spec, data)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cb.Build(); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("build-plain", buildLoop(false))
-	b.Run("build-introspect", buildLoop(true))
+	})
 	b.Run("explain", func(b *testing.B) {
 		cb := buildSpec(b, spec, data)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := cb.Explain(); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("provenance", func(b *testing.B) {
+		cb := buildSpec(b, spec, data)
+		res, err := cb.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			prov, err := cb.Provenance(res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, ok := prov.Page("index.html"); !ok {
+				b.Fatal("no provenance for index.html")
 			}
 		}
 	})

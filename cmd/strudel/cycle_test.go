@@ -5,7 +5,9 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"strudel/internal/core"
 	"strudel/internal/fsx"
 	"strudel/internal/ledger"
 	"strudel/internal/mediator"
@@ -362,4 +365,126 @@ func TestCycleStepsUnderLoad(t *testing.T) {
 		close(stop)
 		wg.Wait()
 	}
+}
+
+// TestCycleDebugEvaluationsDuringSteps: /debug/provenance and
+// /debug/explain re-run the queries over the served data while steps
+// swap edits in, on the optimizing test manifest. Run under -race it
+// checks that a debug evaluation shares nothing unsynchronized with a
+// rebuild. Every answer is 200 and matches some build that was served.
+func TestCycleDebugEvaluationsDuringSteps(t *testing.T) {
+	dir := writeTestSite(t)
+	m, err := loadManifest(filepath.Join(dir, "site.manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, c, err := newServing(m, serveOptions{reg: telemetry.NewRegistry(), logg: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := []*core.Result{c.res.Load()}
+	paths := []string{"/debug/provenance?page=index.html", "/debug/explain"}
+	answers := make([][]string, len(paths))
+	// A reader hands off on progress[i] after each answer, whenever the
+	// test is waiting for one.
+	progress := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, path := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+				if rec.Code != 200 {
+					t.Errorf("GET %s = %d %q", path, rec.Code, rec.Body.String())
+				} else {
+					answers[i] = append(answers[i], rec.Body.String())
+				}
+				select {
+				case progress[i] <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	// Each edit retitles a paper and adds one, so the served builds
+	// differ in their provenance tuples and their data-graph size.
+	bib := filepath.Join(dir, "refs.bib")
+	orig, err := os.ReadFile(bib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := string(orig)
+	for i := 1; i <= 4; i++ {
+		edited = strings.ReplaceAll(edited, "Alpha", "Alpha!") +
+			fmt.Sprintf("@article{q%d, title = {Extra %d}, author = {Cy}, year = 1999, category = {Z}}\n", i, i)
+		if err := os.WriteFile(bib, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.step("interval"); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		served = append(served, c.res.Load())
+	}
+	for i := range paths {
+		<-progress[i]
+	}
+	close(stop)
+	wg.Wait()
+
+	canonical := func(v any) string {
+		t.Helper()
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var generic any
+		if err := json.Unmarshal(raw, &generic); err != nil {
+			t.Fatal(err)
+		}
+		out, _ := json.Marshal(generic)
+		return string(out)
+	}
+	provenance, explain := map[string]bool{}, map[[3]int]bool{}
+	for _, res := range served {
+		prov, err := m.builder.Provenance(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, ok := prov.Page("index.html")
+		if !ok {
+			t.Fatal("served build has no index.html")
+		}
+		provenance[canonical(pp)] = true
+		explain[[3]int{res.Stats.DataNodes, res.Stats.DataEdges, res.Stats.Bindings}] = true
+	}
+	if len(provenance) != len(served) {
+		t.Fatalf("%d served builds have %d distinct provenance records", len(served), len(provenance))
+	}
+	for _, body := range answers[0] {
+		var generic any
+		if err := json.Unmarshal([]byte(body), &generic); err != nil {
+			t.Fatalf("provenance answer is not JSON: %v", err)
+		}
+		if !provenance[canonical(generic)] {
+			t.Fatalf("provenance answer matches no served build:\n%s", body)
+		}
+	}
+	for _, body := range answers[1] {
+		var ex core.Explain
+		if err := json.Unmarshal([]byte(body), &ex); err != nil {
+			t.Fatalf("explain answer is not JSON: %v", err)
+		}
+		if !ex.Optimizer || len(ex.Queries) != 1 || !explain[[3]int{ex.DataNodes, ex.DataEdges, ex.Queries[0].Bindings}] {
+			t.Fatalf("explain answer matches no served build: %d nodes, %d edges, %+v", ex.DataNodes, ex.DataEdges, ex.Queries)
+		}
+	}
+	t.Logf("%d builds served; checked %d provenance and %d explain answers", len(served), len(answers[0]), len(answers[1]))
 }

@@ -27,9 +27,9 @@
 // explain evaluates the site-definition queries with per-operator
 // profiling and prints, per query, the block-structured plan with
 // estimated vs actual cardinalities — without writing any pages. why
-// builds the site with provenance recording and prints, for one page,
-// the Skolem function that created it, the binding tuples it was
-// generated from, and the source objects and attributes it consumed.
+// builds the site, then re-runs its queries recording provenance, and
+// prints for one page the Skolem function that created it, the binding
+// tuples behind it, and the source objects and attributes it consumed.
 // Both accept -example (cnn, cnn-sports, homepage, org) to run against
 // a built-in workload instead of a manifest.
 // build -publish writes the site as a crash-safe generation (gen-N/
@@ -627,7 +627,8 @@ func (o *serveOptions) observability(ireg *telemetry.Registry) (server.Observabi
 // 503. With a non-nil registry the whole pipeline reports into it and
 // the debug endpoints are mounted (outside the shedding chain, so
 // /metrics stays reachable under overload), including /debug/explain
-// and — in static mode — /debug/provenance. /healthz and /readyz are
+// and — in static mode — /debug/provenance, which re-run the queries
+// over the served data on demand. /healthz and /readyz are
 // always mounted: readiness follows the mediator's refresh state,
 // flipping off only when a source failed with no last-good data.
 func newServing(m *manifest, opts serveOptions) (http.Handler, *cycle, error) {
@@ -678,11 +679,6 @@ func newServing(m *manifest, opts serveOptions) (http.Handler, *cycle, error) {
 		Registry:      ireg,
 		RenderTimeout: opts.renderTimeout,
 	}, opts.pub, led, wd, resilience.Real, logg)
-	if !opts.dynamic && reg != nil {
-		// Metrics mode also records page provenance, so
-		// /debug/provenance can answer from the served result.
-		m.builder.EnableIntrospection()
-	}
 	if err := c.step("initial"); err != nil {
 		return nil, nil, err
 	}
@@ -711,11 +707,12 @@ func newServing(m *manifest, opts serveOptions) (http.Handler, *cycle, error) {
 			return m.builder.ExplainData(c.res.Load().DataGraph)
 		}
 		intro.Provenance = func(page string) (any, bool, error) {
-			pp, ok := c.res.Load().PageProvenance(page)
-			if !ok {
-				return nil, false, nil
+			prov, err := m.builder.Provenance(c.res.Load())
+			if err != nil {
+				return nil, false, err
 			}
-			return pp, true, nil
+			pp, ok := prov.Page(page)
+			return pp, ok, nil
 		}
 	}
 
@@ -1142,12 +1139,15 @@ func cmdWhy(args []string) error {
 		return err
 	}
 	b.SetWorkers(*workers)
-	b.EnableIntrospection()
 	res, err := b.Build()
 	if err != nil {
 		return err
 	}
-	pp, ok := res.PageProvenance(page)
+	prov, err := b.Provenance(res)
+	if err != nil {
+		return err
+	}
+	pp, ok := prov.Page(page)
 	if !ok {
 		paths := res.Site.Paths()
 		hint := ""

@@ -50,12 +50,6 @@ func (t *Table) Insert(r Row) error {
 	return nil
 }
 
-// ColIndex resolves a column name.
-func (t *Table) ColIndex(name string) (int, bool) {
-	i, ok := t.col[name]
-	return i, ok
-}
-
 // Get returns a named column of a row.
 func (t *Table) Get(r Row, colName string) graph.Value {
 	if i, ok := t.col[colName]; ok {

@@ -46,9 +46,7 @@ type Builder struct {
 	index       string
 	rootColl    string
 	constraints []schema.Constraint
-	resolver    func(string) (string, error)
 	optimize    bool
-	introspect  bool
 	workers     int
 	telem       *telemetry.Registry
 
@@ -63,8 +61,7 @@ type Builder struct {
 	mat          *struql.Materialized
 }
 
-// NewBuilder creates a builder. The repository is memory-only; use
-// Repository() to persist it.
+// NewBuilder creates a builder over a memory-only repository.
 func NewBuilder(name string) *Builder {
 	repo := repository.New("")
 	return &Builder{
@@ -81,9 +78,6 @@ func NewBuilder(name string) *Builder {
 // the naming directive is parsed, so the name must be settable after
 // the fact; it feeds build traces, explain reports and pprof labels.
 func (b *Builder) SetName(name string) { b.name = name }
-
-// Repository exposes the underlying repository (e.g. for Save).
-func (b *Builder) Repository() *repository.Repository { return b.repo }
 
 // Registry exposes the predicate registry for custom predicates.
 func (b *Builder) Registry() *struql.Registry { return b.med.Registry() }
@@ -217,9 +211,6 @@ func (b *Builder) AddConstraint(c schema.Constraint) {
 	b.constraints = append(b.constraints, c)
 }
 
-// SetFileResolver lets text/HTML file atoms embed their contents.
-func (b *Builder) SetFileResolver(fn func(string) (string, error)) { b.resolver = fn }
-
 // SetWorkers bounds the parallelism of the whole build pipeline —
 // query evaluation, page generation, and dynamic materialization all
 // share one worker pool per build. 0 means runtime.GOMAXPROCS(0), 1
@@ -242,13 +233,6 @@ func (b *Builder) buildPool() *pool.Pool {
 // cost-based query optimizer with the repository's indexes instead of
 // the interpreter's built-in greedy strategy (paper Sec. 2.4).
 func (b *Builder) EnableOptimizer() { b.optimize = true }
-
-// EnableIntrospection makes builds record page provenance: per
-// constructed site-graph node, the Skolem function, binding tuples and
-// consumed source objects (Result.PageProvenance, `strudel why`,
-// /debug/provenance). Off by default — recording costs one map update
-// per construction clause per binding row.
-func (b *Builder) EnableIntrospection() { b.introspect = true }
 
 // SetTelemetry attaches a metrics registry: the repository, the
 // optimizer (when enabled) and dynamic evaluation all report into it,
@@ -315,10 +299,6 @@ type Result struct {
 	// Incremental describes how a Rebuild proceeded (delta, impact,
 	// page reuse). Nil for full Build calls.
 	Incremental *RebuildInfo
-	// Provenance holds the per-node derivation records collected when
-	// EnableIntrospection is set; nil otherwise. Use PageProvenance for
-	// the page-level view.
-	Provenance *struql.Provenance
 	// Violations are constraint failures; Build returns them without
 	// error so callers can decide whether to publish anyway.
 	Violations []error
@@ -328,7 +308,7 @@ type Result struct {
 	DomainWarnings []struql.DomainWarning
 }
 
-// dataGraphFor produces the integrated data graph: the explicit one if
+// buildDataGraph produces the integrated data graph: the explicit one if
 // set, else the mediator's warehouse.
 func (b *Builder) buildDataGraph() (*graph.Graph, error) {
 	if b.dataGraph != nil {
@@ -338,13 +318,14 @@ func (b *Builder) buildDataGraph() (*graph.Graph, error) {
 }
 
 // optimizerContext indexes the data graph and builds the planning
-// context the optimizer hook evaluates conjunctions through.
+// context the optimizer hook evaluates conjunctions through. The graph
+// is indexed, not registered: a debug evaluation over a result a
+// refresh has since replaced must not put that result's graph back
+// under the warehouse name.
 func (b *Builder) optimizerContext(data *graph.Graph) *optimizer.Context {
-	b.repo.Database().Attach(data)
-	b.repo.Invalidate(data.Name())
 	return &optimizer.Context{
 		Graph:     data,
-		Index:     b.repo.Index(data.Name()),
+		Index:     b.repo.IndexOf(data),
 		Registry:  b.Registry(),
 		Telemetry: b.telem,
 	}
@@ -362,16 +343,14 @@ type queryEval struct {
 	site     *graph.Graph
 	bindings int
 	perQuery []queryRun
-	// prov records page provenance; nil unless EnableIntrospection.
-	prov *struql.Provenance
 }
 
 // evalQueries runs the site-definition queries into one site graph,
 // tracing each query as a child span of sp (which may be nil). With
 // profile set, every query carries an EXPLAIN profiler and the
-// per-block plans are returned; when introspection is enabled, node
-// provenance is recorded alongside.
-func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Pool, profile bool, caps []*struql.Capture) (*queryEval, error) {
+// per-block plans are returned; a non-nil prov records node provenance.
+func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Pool, profile bool,
+	caps []*struql.Capture, prov *struql.Provenance) (*queryEval, error) {
 	if len(b.queries) == 0 {
 		return nil, fmt.Errorf("core: site %q has no site-definition query", b.name)
 	}
@@ -380,7 +359,7 @@ func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Poo
 		outName = b.name + "-site"
 	}
 	qe := &queryEval{site: data.NewSibling(outName)}
-	opts := &struql.Options{Output: qe.site, Registry: b.Registry(), Pool: p}
+	opts := &struql.Options{Output: qe.site, Registry: b.Registry(), Pool: p, Provenance: prov}
 	if b.optimize {
 		// Index the data graph and plan every conjunction against it.
 		octx := b.optimizerContext(data)
@@ -388,10 +367,6 @@ func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Poo
 		if profile {
 			opts.PlannerProfiled = optimizer.ProfiledHook(octx)
 		}
-	}
-	if b.introspect {
-		qe.prov = struql.NewProvenance()
-		opts.Provenance = qe.prov
 	}
 	for i, q := range b.queries {
 		var prof *struql.Profiler
@@ -428,14 +403,12 @@ func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Poo
 	return qe, nil
 }
 
-// canDifferential reports whether a full build should prime
+// canDifferential reports whether a full evaluation should prime
 // differential state: an explicit data graph whose journal is watched,
 // with the stock interpreter (the materialized plans replicate its
-// greedy ordering) and no provenance recording (which the replica does
-// not reproduce).
+// greedy ordering).
 func (b *Builder) canDifferential() bool {
-	return b.differential && b.dataGraph != nil &&
-		!b.optimize && !b.introspect && len(b.queries) > 0
+	return b.differential && b.dataGraph != nil && !b.optimize && len(b.queries) > 0
 }
 
 // captureSet allocates one binding capture per query when the build
@@ -474,35 +447,24 @@ func (b *Builder) siteSchema() *schema.SiteSchema {
 	return schema.Merge(schemas...)
 }
 
-// Build runs the full pipeline: mediate, query, verify, generate.
-// Each phase is a child span of the build trace (Result.Trace), and
-// the Stats durations are those spans' durations — the trace timeline
-// and Stats cannot disagree.
+// Build runs the full pipeline: mediate, query, verify, generate. It
+// is the incremental pipeline's first step: after mediating (the first
+// span of the "build <site>" trace) it runs Rebuild's body with no
+// previous result, which evaluates, verifies and renders every page.
+// Each phase is a child span of the build trace (Result.Trace), and the
+// Stats durations are those spans' durations — the trace timeline and
+// Stats cannot disagree.
 func (b *Builder) Build() (*Result, error) {
-	tr := telemetry.NewTrace("build " + b.name)
-	res := &Result{Trace: tr}
-	pl := b.buildPool()
+	res := &Result{Trace: telemetry.NewTrace("build " + b.name)}
 	a0 := telemetry.AllocBytes()
-	defer func() {
-		tr.Finish()
-		res.Stats.TotalTime = tr.Duration()
-		res.Stats.TotalAlloc = telemetry.AllocBytes() - a0
-		res.BuiltAt = time.Now()
-	}()
-
-	tr.Root().SetAttr("site", b.name)
-	tr.Root().SetAttr("workers", pl.Workers())
-
-	med := tr.Root().Child("mediation")
+	med := res.Trace.Root().Child("mediation")
 	data, err := b.buildDataGraph()
 	if err == nil {
 		med.SetAttr("nodes", data.NumNodes())
 		med.SetAttr("edges", data.NumEdges())
 	}
 	med.Finish()
-	res.Stats.MediationTime = med.Duration()
-	aMed := telemetry.AllocBytes()
-	res.Stats.MediationAlloc = aMed - a0
+	res.Stats.MediationTime, res.Stats.MediationAlloc = med.Duration(), telemetry.AllocBytes()-a0
 	if err != nil {
 		return nil, err
 	}
@@ -514,123 +476,15 @@ func (b *Builder) Build() (*Result, error) {
 		b.journal.Take()
 		b.base = nil
 	}
-
-	qsp := tr.Root().Child("query")
-	caps := b.captureSet()
-	qe, err := b.evalQueries(data, qsp, pl, false, caps)
-	if err == nil {
-		qsp.SetAttr("bindings", qe.bindings)
-	}
-	qsp.Finish()
-	res.Stats.QueryTime = qsp.Duration()
-	aQuery := telemetry.AllocBytes()
-	res.Stats.QueryAlloc = aQuery - aMed
-	if err != nil {
-		return nil, err
-	}
-	site := qe.site
-	res.SiteGraph = site
-	res.Stats.Bindings = qe.bindings
-	res.Provenance = qe.prov
-
-	ver := tr.Root().Child("verify")
-	res.Schema = b.siteSchema()
-	res.Violations = schema.VerifyAll(res.Schema, site, b.constraints)
-	for _, q := range b.queries {
-		res.DomainWarnings = append(res.DomainWarnings,
-			struql.RangeCheckWith(q, data.HasCollection)...)
-	}
-	ver.SetAttr("violations", len(res.Violations))
-	for _, v := range res.Violations {
-		ver.AddEvent("violation", "error", v.Error())
-	}
-	ver.Finish()
-	res.Stats.VerifyTime = ver.Duration()
-	aVerify := telemetry.AllocBytes()
-	res.Stats.VerifyAlloc = aVerify - aQuery
-
-	gsp := tr.Root().Child("generate")
-	gen := sitegen.New(site, sitegen.Config{
-		Templates:    b.templates,
-		EmbedOnly:    b.embedOnly,
-		Index:        b.index,
-		FileResolver: b.resolver,
-		Pool:         pl,
-	})
-	htmlSite, err := gen.Generate()
-	if err == nil {
-		gsp.SetAttr("pages", len(htmlSite.Pages))
-	}
-	gsp.Finish()
-	res.Stats.GenerateTime = gsp.Duration()
-	res.Stats.GenerateAlloc = telemetry.AllocBytes() - aVerify
-	if err != nil {
-		return nil, err
-	}
-	res.Site = htmlSite
-
-	b.primeDifferential(data, site, caps)
-	if b.dataGraph != nil {
-		b.base = htmlSite
-	}
-
-	// NumNodes/NumEdges, not Stats(): its label census walks every edge.
-	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
-	res.Stats.SiteNodes, res.Stats.SiteEdges = site.NumNodes(), site.NumEdges()
-	res.Stats.Pages = len(htmlSite.Pages)
-	return res, nil
-}
-
-// PageProvenance returns the provenance of one generated page, looked
-// up by path ("YearPage_1997.html", with or without the extension) or
-// by the page object's symbolic name ("YearPage(1997)"). Requires a
-// build with EnableIntrospection set.
-func (r *Result) PageProvenance(page string) (*sitegen.PageProvenance, bool) {
-	if r == nil || r.Provenance == nil || r.Site == nil || r.SiteGraph == nil {
-		return nil, false
-	}
-	for _, path := range []string{page, page + ".html"} {
-		if pp, ok := sitegen.PageProvenanceFor(r.SiteGraph, r.Site, path, r.Provenance); ok {
-			return pp, true
-		}
-	}
-	for path, pg := range r.Site.Pages {
-		if pg.Name == page {
-			return sitegen.PageProvenanceFor(r.SiteGraph, r.Site, path, r.Provenance)
-		}
-	}
-	return nil, false
+	return b.rebuild(res, nil, nil, nil, "")
 }
 
 // BuildDynamic prepares click-time evaluation instead of full
 // materialization: the first site-definition query is decomposed into
 // per-page queries over the (mediated) data graph, and a renderer
 // using the builder's templates is returned. RootCollection must be
-// set (the precomputed entry points).
+// set (the precomputed entry points). It is RebuildDynamic's first
+// step.
 func (b *Builder) BuildDynamic() (*incremental.Renderer, error) {
-	if len(b.queries) != 1 {
-		return nil, fmt.Errorf("core: dynamic evaluation needs exactly one site-definition query, have %d", len(b.queries))
-	}
-	if b.rootColl == "" {
-		return nil, fmt.Errorf("core: dynamic evaluation needs SetRootCollection")
-	}
-	data, err := b.buildDataGraph()
-	if err != nil {
-		return nil, err
-	}
-	dec := incremental.Decompose(b.queries[0], data, b.Registry())
-	dec.UsePool(b.buildPool())
-	if b.optimize {
-		dec.UsePlanner(optimizer.Hook(b.optimizerContext(data)))
-	}
-	r := &incremental.Renderer{
-		Dec:       dec,
-		Templates: b.templates,
-		EmbedOnly: b.embedOnly,
-		BuiltAt:   time.Now(),
-	}
-	if b.telem != nil {
-		r.Instrument(b.telem)
-	}
-	return r, nil
+	return b.RebuildDynamic(nil)
 }

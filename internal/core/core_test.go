@@ -46,6 +46,11 @@ func TestBuildEndToEnd(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Errorf("violations: %v", res.Violations)
 	}
+	// A full build runs the rebuild body with no previous result, and
+	// reports no rebuild.
+	if res.Incremental != nil {
+		t.Errorf("Build reported a rebuild: %s", res.Incremental.Summary())
+	}
 	if len(res.Schema.Funcs) != 6 {
 		t.Errorf("schema funcs = %v", res.Schema.Funcs)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"strudel/internal/datadef"
 	"strudel/internal/graph"
+	"strudel/internal/schema"
 	"strudel/internal/telemetry"
 	"strudel/internal/workload"
 )
@@ -638,4 +639,117 @@ func TestStatsSizesMatchGraphStats(t *testing.T) {
 		t.Fatal("edit rebuilt as noop")
 	}
 	check("selective rebuild", next)
+}
+
+// TestDebugEvaluationKeepsDeltaBaseline: explaining, or taking the
+// provenance of, a result that a refresh has since replaced must not
+// put that result's data graph back under the warehouse name, where the
+// next Rebuild would find its delta does not start at the served data
+// and render in full. The optimizer indexes the graph a debug
+// evaluation runs over, which is how it could.
+func TestDebugEvaluationKeepsDeltaBaseline(t *testing.T) {
+	for _, debug := range []string{"explain", "provenance"} {
+		t.Run(debug, func(t *testing.T) {
+			content := workload.BibliographyBibTeX(8, 3)
+			spec := workload.BibliographySpec()
+			b := NewBuilder("med")
+			if err := b.AddSourceFunc("refs.bib", "bibtex", func() (string, error) { return content, nil }); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddQuery(spec.Query); err != nil {
+				t.Fatal(err)
+			}
+			b.AddTemplates(spec.Templates)
+			b.SetEmbedOnly("PaperPresentation")
+			b.SetIndex(spec.Index)
+			b.EnableOptimizer()
+			r1, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			content = strings.Replace(content, "title = {", "title = {Revised ", 1)
+			r2, err := b.Rebuild(r1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if debug == "explain" {
+				_, err = b.ExplainData(r1.DataGraph)
+			} else {
+				_, err = b.Provenance(r1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			content = strings.Replace(content, "title = {", "title = {Twice ", 1)
+			r3, err := b.Rebuild(r2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := r3.Incremental; info.Mode != "selective" || info.Site.Reused == 0 {
+				t.Fatalf("rebuild after a debug %s of a replaced result: %s, want selective with reuse", debug, info.Summary())
+			}
+		})
+	}
+}
+
+// TestRebuildVerifySpanRecordsViolations: a rebuild that introduces a
+// constraint violation records it on its own verify span, as a build
+// does: the violations attribute and one violation event per failure.
+func TestRebuildVerifySpanRecordsViolations(t *testing.T) {
+	for _, differential := range []bool{true, false} {
+		b := bibBuilder(t, 6)
+		b.SetDifferential(differential)
+		b.AddConstraint(schema.MustLink{From: "RootPage", Label: "YearPage", To: "YearPage"})
+		prev, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prev.Violations) != 0 {
+			t.Fatalf("initial build violates: %v", prev.Violations)
+		}
+		// With no year left on any publication, the root page links to no
+		// year page.
+		data := prev.DataGraph
+		for _, pub := range data.Collection("Publications") {
+			for {
+				v, ok := data.First(pub.OID(), "year")
+				if !ok {
+					break
+				}
+				data.RemoveEdge(pub.OID(), "year", v)
+			}
+		}
+		res, err := b.Rebuild(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) == 0 {
+			t.Fatalf("differential=%v: %s introduced no violation", differential, res.Incremental.Summary())
+		}
+		var verify *telemetry.Span
+		for _, sp := range res.Trace.Root().Children() {
+			if sp.Name == "verify" {
+				verify = sp
+			}
+		}
+		if verify == nil {
+			t.Fatalf("differential=%v: rebuild trace has no verify span", differential)
+		}
+		var attr any
+		for _, a := range verify.Attrs() {
+			if a.Key == "violations" {
+				attr = a.Value
+			}
+		}
+		events := 0
+		for _, ev := range verify.Events() {
+			if ev.Name == "violation" {
+				events++
+			}
+		}
+		if attr != len(res.Violations) || events != len(res.Violations) {
+			t.Errorf("differential=%v (%s): verify span has violations=%v and %d violation events, want %d of each",
+				differential, res.Incremental.Mode, attr, events, len(res.Violations))
+		}
+	}
 }

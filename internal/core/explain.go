@@ -3,7 +3,9 @@
 // plan with estimated vs actual cardinalities. This is the `strudel
 // explain` verb and the /debug/explain endpoint; it runs the real
 // query stage (same planner, same physical operators), so the plan it
-// prints is the plan builds execute.
+// prints is the plan builds execute. Page provenance (`strudel why`,
+// /debug/provenance) is the same kind of on-demand re-run, recording
+// why each site-graph node exists instead of profiling.
 package core
 
 import (
@@ -11,6 +13,7 @@ import (
 	"io"
 
 	"strudel/internal/graph"
+	"strudel/internal/sitegen"
 	"strudel/internal/struql"
 )
 
@@ -43,7 +46,7 @@ type Explain struct {
 // would make the next incremental rebuild diff against data the site
 // never rendered).
 func (b *Builder) ExplainData(data *graph.Graph) (*Explain, error) {
-	qe, err := b.evalQueries(data, nil, b.buildPool(), true, nil)
+	qe, err := b.evalQueries(data, nil, b.buildPool(), true, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -89,6 +92,59 @@ func (b *Builder) Explain() (*Explain, error) {
 		return nil, err
 	}
 	return b.ExplainData(data)
+}
+
+// Provenance is the derivation record of one built result's pages:
+// the Skolem function, binding tuples and source objects behind every
+// node of its site graph.
+type Provenance struct {
+	site  *sitegen.Site
+	graph *graph.Graph // the re-evaluated site graph the records describe
+	rec   *struql.Provenance
+}
+
+// Provenance re-runs the site-definition queries over res's data graph
+// with a provenance recorder. Like ExplainData it neither refreshes the
+// mediator nor renders, so a build pays nothing for provenance; each
+// call pays one query stage. Under SetDataGraph the data graph changes
+// in place: take a result's provenance before the next edit.
+func (b *Builder) Provenance(res *Result) (*Provenance, error) {
+	rec := struql.NewProvenance()
+	qe, err := b.evalQueries(res.DataGraph, nil, b.buildPool(), false, nil, rec)
+	if err != nil {
+		return nil, err
+	}
+	return &Provenance{site: res.Site, graph: qe.site, rec: rec}, nil
+}
+
+// Page returns the provenance of one page of the result, looked up by
+// path ("YearPage_1997.html", with or without the extension) or by the
+// page object's symbolic name ("YearPage(1997)").
+func (p *Provenance) Page(page string) (*sitegen.PageProvenance, bool) {
+	pg, ok := p.site.Pages[page]
+	if !ok {
+		pg, ok = p.site.Pages[page+".html"]
+	}
+	if !ok {
+		for _, cand := range p.site.Pages {
+			if cand.Name == page {
+				pg, ok = cand, true
+				break
+			}
+		}
+	}
+	if !ok {
+		return nil, false
+	}
+	// Site-graph OIDs differ between evaluations, names do not; an
+	// unnamed page object is a data-graph node, whose OID is shared.
+	at := *pg
+	if pg.Name != "" {
+		if at.OID, ok = p.graph.NodeByName(pg.Name); !ok {
+			return nil, false
+		}
+	}
+	return sitegen.PageProvenanceFor(p.graph, &at, p.rec), true
 }
 
 // WriteText renders the explain report as an indented plan listing.

@@ -128,15 +128,15 @@ func TestExplainWorkerInvariance(t *testing.T) {
 
 func TestPageProvenance(t *testing.T) {
 	b := bibBuilder(t, 25)
-	b.EnableIntrospection()
 	res, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Provenance == nil {
-		t.Fatal("introspection enabled but no provenance collected")
+	prov, err := b.Provenance(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pp, ok := res.PageProvenance("index.html")
+	pp, ok := prov.Page("index.html")
 	if !ok {
 		t.Fatalf("no provenance for index.html; pages: %v", res.Site.Paths())
 	}
@@ -154,20 +154,16 @@ func TestPageProvenance(t *testing.T) {
 			t.Errorf("why output missing %q:\n%s", want, sb.String())
 		}
 	}
-	// Name-based lookup (without .html) works too.
-	if _, ok := res.PageProvenance("index"); !ok {
-		t.Error("lookup by bare name failed")
+	// Lookup without .html and by the page object's name works too.
+	if _, ok := prov.Page("index"); !ok {
+		t.Error("lookup by bare path failed")
 	}
-	if _, ok := res.PageProvenance("no-such-page"); ok {
+	byName, ok := prov.Page("RootPage()")
+	if !ok || byName.Path != "index.html" {
+		t.Errorf("lookup by object name = %+v, %v", byName, ok)
+	}
+	if _, ok := prov.Page("no-such-page"); ok {
 		t.Error("lookup of unknown page succeeded")
-	}
-	// Without introspection there is no provenance.
-	plain, err := bibBuilder(t, 25).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plain.PageProvenance("index.html"); ok {
-		t.Error("provenance present without EnableIntrospection")
 	}
 }
 
@@ -178,8 +174,11 @@ func TestPageProvenance(t *testing.T) {
 // classes the incremental rebuilder would consider re-rendering.
 func TestProvenanceAgreesWithRenderClosure(t *testing.T) {
 	b := bibBuilder(t, 25)
-	b.EnableIntrospection()
 	res, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := b.Provenance(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestProvenanceAgreesWithRenderClosure(t *testing.T) {
 	}
 	checked := 0
 	for path := range res.Site.Pages {
-		pp, ok := res.PageProvenance(path)
+		pp, ok := prov.Page(path)
 		if !ok {
 			continue
 		}

@@ -10,7 +10,8 @@
 // reverse-reachability cone of the touched site objects re-render; the
 // rest are adopted from the previous site by name. A change the
 // schema cannot see is a noop, and a rebuild with no usable change
-// renders in full and names the cause.
+// renders in full and names the cause. A full Build is the pipeline's
+// first step: the same body with no previous result.
 package core
 
 import (
@@ -162,11 +163,7 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 			delta = graph.OpsDelta(ops)
 		}
 		b.base = nil // the journal is drained: only a success re-anchors it
-		res, err := b.rebuild(prev, b.dataGraph, nil, delta, ops, cause)
-		if err == nil {
-			b.base = res.Site
-		}
-		return res, err
+		return b.rebuild(b.rebuildResult(b.dataGraph, nil), prev, delta, ops, cause)
 	}
 	// Mediation runs before rebuild opens the rebuild trace, so it is
 	// timed here rather than as a span of it.
@@ -181,11 +178,16 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 	if base != prev.DataGraph || delta == nil {
 		delta, cause = nil, "no delta baseline"
 	}
-	res, err := b.rebuild(prev, data, report, delta, nil, cause)
+	res, err := b.rebuild(b.rebuildResult(data, report), prev, delta, nil, cause)
 	if res != nil {
 		res.Stats.MediationTime, res.Stats.MediationAlloc = medTime, medAlloc
 	}
 	return res, err
+}
+
+// rebuildResult opens a rebuild's result, and its trace, over data.
+func (b *Builder) rebuildResult(data *graph.Graph, report *mediator.RefreshReport) *Result {
+	return &Result{Trace: telemetry.NewTrace("rebuild " + b.name), DataGraph: data, Refresh: report}
 }
 
 // countDiff feeds differential-apply telemetry.
@@ -216,26 +218,31 @@ func (b *Builder) countDiff(st *struql.MatStats) {
 	blocks("rebound", st.BlocksRebound)
 }
 
-// rebuild is the one incremental pipeline. delta is the data change
-// since prev, and ops the same change as journal entries (SetDataGraph
-// only); a non-empty cause names why the rebuild must re-evaluate and
-// render in full instead. Only the query phase forks: with
-// differential evaluation primed, ops propagate through the
-// materialized binding relations and prev's site graph is maintained
-// in place; otherwise the queries re-run in full and the new site graph
-// is diffed against prev's. The pages in the reverse-reachability cone
-// of the touched site objects re-render; the rest are adopted.
-func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.RefreshReport,
-	delta *graph.Delta, ops []graph.Op, cause string) (*Result, error) {
-	tr := telemetry.NewTrace("rebuild " + b.name)
-	res := &Result{Trace: tr, DataGraph: data, Refresh: report}
+// rebuild is the one build pipeline. res holds the opened trace, the
+// data graph and the refresh report; prev is the result to bring up to
+// date, or nil for a full build, which renders every page and reports
+// no RebuildInfo. delta is the data change since prev, and ops the same
+// change as journal entries (SetDataGraph only); a non-empty cause
+// names why the rebuild must re-evaluate and render in full instead.
+// Only the query phase forks: with differential evaluation primed, ops
+// propagate through the materialized binding relations and prev's site
+// graph is maintained in place; otherwise the queries re-run in full
+// and the new site graph is diffed against prev's. The pages in the
+// reverse-reachability cone of the touched site objects re-render; the
+// rest are adopted. A success under SetDataGraph is the journal's new
+// baseline.
+func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op, cause string) (out *Result, err error) {
+	tr, data := res.Trace, res.DataGraph
 	pl := b.buildPool()
 	a0 := telemetry.AllocBytes()
 	defer func() {
 		tr.Finish()
 		res.Stats.TotalTime = tr.Duration()
-		res.Stats.TotalAlloc = telemetry.AllocBytes() - a0
+		res.Stats.TotalAlloc = res.Stats.MediationAlloc + telemetry.AllocBytes() - a0
 		res.BuiltAt = time.Now()
+		if err == nil && b.dataGraph != nil {
+			b.base = out.Site
+		}
 	}()
 	tr.Root().SetAttr("site", b.name)
 	tr.Root().SetAttr("workers", pl.Workers())
@@ -245,19 +252,22 @@ func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.Refr
 	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
 	sch := b.siteSchema()
 	res.Schema = sch
-	info := &RebuildInfo{Data: delta, Impact: schema.Analyze(sch, delta)}
-	res.Incremental = info
+	var info *RebuildInfo
+	var prevSite *sitegen.Site
+	if prev != nil {
+		info = &RebuildInfo{Data: delta, Impact: schema.Analyze(sch, delta)}
+		res.Incremental, prevSite = info, prev.Site
+	}
 	// Collision suffixes depend on OID enumeration order, which in-place
 	// maintenance does not reproduce.
-	differential := cause == "" && b.canDifferential() && b.mat.Valid() && prev.Site.Collisions == 0
+	differential := prev != nil && cause == "" && b.canDifferential() && b.mat.Valid() && prev.Site.Collisions == 0
 
 	// Nothing the schema can see changed: the site graph — a function of
 	// the data graph and the queries — is provably the previous one. The
 	// materialization must still see every journaled op.
-	if cause == "" && info.Impact.Empty() && (!differential || len(ops) == 0) {
+	if prev != nil && cause == "" && info.Impact.Empty() && (!differential || len(ops) == 0) {
 		info.Mode = "noop"
 		res.SiteGraph, res.Site = prev.SiteGraph, prev.Site
-		res.Provenance = prev.Provenance
 		res.Violations, res.DomainWarnings = prev.Violations, prev.DomainWarnings
 		res.Stats.SiteNodes, res.Stats.SiteEdges = prev.SiteGraph.NumNodes(), prev.SiteGraph.NumEdges()
 		res.Stats.Pages = len(prev.Site.Pages)
@@ -289,13 +299,12 @@ func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.Refr
 	}
 	if !differential {
 		caps = b.captureSet()
-		qe, err := b.evalQueries(data, qsp, pl, false, caps)
+		qe, err := b.evalQueries(data, qsp, pl, false, caps, nil)
 		if err != nil {
 			return nil, err
 		}
 		site = qe.site
 		res.Stats.Bindings = qe.bindings
-		res.Provenance = qe.prov
 	}
 	qsp.SetAttr("bindings", res.Stats.Bindings)
 	qsp.Finish()
@@ -310,6 +319,10 @@ func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.Refr
 		res.DomainWarnings = append(res.DomainWarnings,
 			struql.RangeCheckWith(q, data.HasCollection)...)
 	}
+	ver.SetAttr("violations", len(res.Violations))
+	for _, v := range res.Violations {
+		ver.AddEvent("violation", "error", v.Error())
+	}
 	ver.Finish()
 	res.Stats.VerifyTime = ver.Duration()
 	aVerify := telemetry.AllocBytes()
@@ -317,7 +330,7 @@ func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.Refr
 
 	// A nil cone asks the generator for a full render.
 	var cone map[graph.OID]struct{}
-	if cause == "" {
+	if prev != nil && cause == "" {
 		if !differential {
 			// Diff compares edges and memberships by name, so an object
 			// outside the cone of the added and changed keys kept its
@@ -336,14 +349,17 @@ func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.Refr
 
 	gsp := tr.Root().Child("generate")
 	gen := sitegen.New(site, sitegen.Config{
-		Templates:    b.templates,
-		EmbedOnly:    b.embedOnly,
-		Index:        b.index,
-		FileResolver: b.resolver,
-		Pool:         pl,
+		Templates: b.templates,
+		EmbedOnly: b.embedOnly,
+		Index:     b.index,
+		Pool:      pl,
 	})
-	htmlSite, dstats, err := gen.Regenerate(context.Background(), prev.Site, cone,
+	htmlSite, dstats, err := gen.Regenerate(context.Background(), prevSite, cone,
 		differential && !info.Eval.Renumbered)
+	if err == nil {
+		gsp.SetAttr("rendered", dstats.Rendered)
+		gsp.SetAttr("reused", dstats.Reused)
+	}
 	gsp.Finish()
 	res.Stats.GenerateTime = gsp.Duration()
 	res.Stats.GenerateAlloc = telemetry.AllocBytes() - aVerify
@@ -354,32 +370,32 @@ func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.Refr
 		// A from-scratch build may assign the new collision suffixes
 		// differently: re-evaluate instead.
 		b.mat = nil
-		return b.rebuild(prev, data, report, delta, ops, "path collision")
-	}
-	if cause != "" {
-		dstats.Reason = cause
+		return b.rebuild(b.rebuildResult(data, res.Refresh), prev, delta, ops, "path collision")
 	}
 	res.Site = htmlSite
-	info.Site = dstats
-	info.Invalidated = invalidatedPaths(prev.Site, htmlSite)
-	switch {
-	case dstats.Full:
-		info.Mode = "full"
-	case differential:
-		info.Mode = "differential"
-	default:
-		info.Mode = "selective"
-	}
 	if !differential {
 		b.primeDifferential(data, site, caps)
 	}
-	tr.Root().SetAttr("mode", info.Mode)
-	gsp.SetAttr("rendered", dstats.Rendered)
-	gsp.SetAttr("reused", dstats.Reused)
-	b.countRebuild(info.Mode)
-	addCount(b.deltaPages("rendered"), dstats.Rendered)
-	addCount(b.deltaPages("reused"), dstats.Reused)
-	addCount(b.deltaPages("pruned"), len(dstats.PrunedPaths))
+	if info != nil {
+		if cause != "" {
+			dstats.Reason = cause
+		}
+		info.Site = dstats
+		info.Invalidated = invalidatedPaths(prev.Site, htmlSite)
+		switch {
+		case dstats.Full:
+			info.Mode = "full"
+		case differential:
+			info.Mode = "differential"
+		default:
+			info.Mode = "selective"
+		}
+		tr.Root().SetAttr("mode", info.Mode)
+		b.countRebuild(info.Mode)
+		addCount(b.deltaPages("rendered"), dstats.Rendered)
+		addCount(b.deltaPages("reused"), dstats.Reused)
+		addCount(b.deltaPages("pruned"), len(dstats.PrunedPaths))
+	}
 
 	res.Stats.SiteNodes, res.Stats.SiteEdges = site.NumNodes(), site.NumEdges()
 	res.Stats.Pages = len(htmlSite.Pages)
@@ -397,52 +413,53 @@ func (b *Builder) rebuild(prev *Result, data *graph.Graph, report *mediator.Refr
 // committed) builds a fresh (cold-cache) renderer, and so does every
 // call under SetDataGraph.
 func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Renderer, error) {
-	if prev == nil {
-		return b.BuildDynamic()
-	}
-	if b.dataGraph != nil {
-		return b.BuildDynamic()
-	}
-	in := prev.Dec.Input()
-	base, _ := b.med.Warehouse()
-	data, report, err := b.med.RefreshWithReport()
-	if err != nil {
-		return nil, err
-	}
-	if data == in {
-		// The refresh re-validated the data as unchanged: the content is
-		// current as of now, even though nothing was recomputed.
-		prev.BuiltAt = time.Now()
-		return prev, nil
-	}
-	delta := report.Warehouse
-	if base != in {
-		delta = nil
-	}
 	if len(b.queries) != 1 {
 		return nil, fmt.Errorf("core: dynamic evaluation needs exactly one site-definition query, have %d", len(b.queries))
+	}
+	if b.rootColl == "" {
+		return nil, fmt.Errorf("core: dynamic evaluation needs SetRootCollection")
+	}
+	data := b.dataGraph
+	var delta *graph.Delta
+	if data == nil {
+		base, _ := b.med.Warehouse()
+		fresh, report, err := b.med.RefreshWithReport()
+		if err != nil {
+			return nil, err
+		}
+		if prev != nil && fresh == prev.Dec.Input() {
+			// The refresh re-validated the data as unchanged: the content is
+			// current as of now, even though nothing was recomputed.
+			prev.BuiltAt = time.Now()
+			return prev, nil
+		}
+		data = fresh
+		if prev != nil && base == prev.Dec.Input() {
+			delta = report.Warehouse
+		}
+	} else {
+		prev = nil // under SetDataGraph every renderer starts cold
 	}
 	dec := incremental.Decompose(b.queries[0], data, b.Registry())
 	dec.UsePool(b.buildPool())
 	if b.optimize {
 		dec.UsePlanner(optimizer.Hook(b.optimizerContext(data)))
 	}
+	r := &incremental.Renderer{Dec: dec, Templates: b.templates, EmbedOnly: b.embedOnly}
 	adopted := 0
-	if delta != nil {
-		adopted = dec.AdoptCache(prev.Dec, schema.Analyze(dec.Schema(), delta))
+	if prev != nil {
+		r.URLFor, r.MaxDepth = prev.URLFor, prev.MaxDepth
+		if delta != nil {
+			adopted = dec.AdoptCache(prev.Dec, schema.Analyze(dec.Schema(), delta))
+		}
 	}
-	r := &incremental.Renderer{
-		Dec:       dec,
-		Templates: b.templates,
-		EmbedOnly: b.embedOnly,
-		URLFor:    prev.URLFor,
-		MaxDepth:  prev.MaxDepth,
-		BuiltAt:   time.Now(),
-	}
+	r.BuiltAt = time.Now()
 	if b.telem != nil {
 		r.Instrument(b.telem)
-		b.telem.Counter("strudel_dynamic_cache_events_total",
-			"Dynamic page-cache events (hit, miss, adopt).", "event", "adopt").Add(adopted)
+		if prev != nil {
+			b.telem.Counter("strudel_dynamic_cache_events_total",
+				"Dynamic page-cache events (hit, miss, adopt).", "event", "adopt").Add(adopted)
+		}
 	}
 	return r, nil
 }

@@ -137,12 +137,32 @@ func (r *Repository) Index(name string) *GraphIndex {
 	if !ok {
 		return nil
 	}
-	idx := BuildIndex(g)
-	idx.met = r.met
-	if r.met != nil {
-		r.met.builds.Inc()
-	}
+	idx := instrumentedIndex(g, r.met)
 	r.indexes[name] = idx
+	return idx
+}
+
+// IndexOf indexes g without registering it or caching the index, for
+// evaluations over a snapshot that may not be the graph stored under
+// its name. Nil if indexing is disabled.
+func (r *Repository) IndexOf(g *graph.Graph) *GraphIndex {
+	r.mu.Lock()
+	on, met := r.indexing, r.met
+	r.mu.Unlock()
+	if !on {
+		return nil
+	}
+	return instrumentedIndex(g, met)
+}
+
+// instrumentedIndex builds g's index set reporting into met (nil when
+// the repository is not instrumented).
+func instrumentedIndex(g *graph.Graph, met *indexMetrics) *GraphIndex {
+	idx := BuildIndex(g)
+	idx.met = met
+	if met != nil {
+		met.builds.Inc()
+	}
 	return idx
 }
 

@@ -61,11 +61,10 @@ func withRequestID(r *http.Request) *http.Request {
 // field may be nil; its endpoint then answers 404.
 type Introspector struct {
 	// Explain returns the profiled plan of the site's query stage
-	// (core.Explain). It re-evaluates the queries, so calls are
-	// serialized by the handler.
-	Explain func() (any, error)
-	// Provenance returns the provenance record of one page by path or
-	// object name, or false when the page is unknown.
+	// (core.Explain); Provenance returns the provenance record of one
+	// page by path or object name, or false when the page is unknown.
+	// Both re-evaluate the queries, so the handlers serialize calls.
+	Explain    func() (any, error)
 	Provenance func(page string) (any, bool, error)
 }
 
@@ -74,17 +73,16 @@ type Introspector struct {
 //	/debug/explain            profiled plan of the site's query stage (JSON)
 //	/debug/provenance?page=P  provenance of one generated page (JSON)
 func AttachIntrospection(mux *http.ServeMux, in Introspector) {
-	var explainMu sync.Mutex
+	// One query-stage re-run at a time, whichever endpoint asks.
+	var evalMu sync.Mutex
 	mux.HandleFunc("/debug/explain", func(w http.ResponseWriter, r *http.Request) {
 		if in.Explain == nil {
 			http.NotFound(w, r)
 			return
 		}
-		// An explain re-runs the whole query stage; one at a time keeps a
-		// curious client from multiplying that load.
-		explainMu.Lock()
+		evalMu.Lock()
 		ex, err := in.Explain()
-		explainMu.Unlock()
+		evalMu.Unlock()
 		if err != nil {
 			internalError(w, r, nil, "debug", err)
 			return
@@ -101,7 +99,9 @@ func AttachIntrospection(mux *http.ServeMux, in Introspector) {
 			http.Error(w, "missing ?page= parameter", http.StatusBadRequest)
 			return
 		}
+		evalMu.Lock()
 		pp, ok, err := in.Provenance(page)
+		evalMu.Unlock()
 		if err != nil {
 			internalError(w, r, nil, "debug", err)
 			return

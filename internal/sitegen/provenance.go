@@ -35,17 +35,10 @@ type PageProvenance struct {
 }
 
 // PageProvenanceFor assembles the provenance of one generated page
-// from the evaluation's node-level records. siteGraph must be the
-// graph the site was generated from, and prov the recorder passed to
-// that evaluation. Returns false when the path names no page.
-func PageProvenanceFor(siteGraph *graph.Graph, site *Site, path string, prov *struql.Provenance) (*PageProvenance, bool) {
-	if site == nil || prov == nil {
-		return nil, false
-	}
-	pg, ok := site.Pages[path]
-	if !ok {
-		return nil, false
-	}
+// from an evaluation's node-level records: prov is the recorder passed
+// to the evaluation that produced siteGraph, and pg.OID names the page
+// object in siteGraph.
+func PageProvenanceFor(siteGraph *graph.Graph, pg *Page, prov *struql.Provenance) *PageProvenance {
 	out := &PageProvenance{
 		Path: pg.Path,
 		Name: pg.Name,
@@ -94,7 +87,7 @@ func PageProvenanceFor(siteGraph *graph.Graph, site *Site, path string, prov *st
 		out.Attrs = append(out.Attrs, a)
 	}
 	sort.Strings(out.Attrs)
-	return out, true
+	return out
 }
 
 // WriteText renders the provenance as a human-readable listing (the

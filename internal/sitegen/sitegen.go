@@ -234,22 +234,17 @@ func (g *Generator) pagePath(oid graph.OID) string {
 	return safe + ".html"
 }
 
-// Generate renders every page object of the site graph. Pages render
-// concurrently (see Config.Workers); the result is byte-identical to a
-// sequential run.
+// Generate renders every page object of the site graph from scratch,
+// the reference incremental regeneration must match byte for byte.
+// Pages render concurrently (see Config.Workers); the result is
+// byte-identical to a sequential run.
 func (g *Generator) Generate() (*Site, error) {
-	return g.GenerateContext(context.Background())
-}
-
-// GenerateContext is Generate with cancellation: a cancelled context
-// aborts rendering early and returns the context's error.
-func (g *Generator) GenerateContext(ctx context.Context) (*Site, error) {
 	site, pageOIDs := g.assignPaths()
 	// Second pass: render. The site graph and the path maps are
 	// read-only from here on, and each task writes only its own Page,
 	// so pages render concurrently; the pool joins its workers before
 	// returning, which orders every write before Generate's return.
-	if err := g.renderPages(ctx, site, pageOIDs); err != nil {
+	if err := g.renderPages(context.Background(), site, pageOIDs); err != nil {
 		return nil, err
 	}
 	return site, nil

@@ -46,15 +46,6 @@ func NewAccessLogger(w io.Writer) *AccessLogger {
 	return &AccessLogger{l: NewLogger(w)}
 }
 
-// NewAccessLoggerWith reuses an existing slog.Logger (e.g. the serving
-// process's own), so access lines interleave with the rest of the log.
-func NewAccessLoggerWith(l *slog.Logger) *AccessLogger {
-	if l == nil {
-		return nil
-	}
-	return &AccessLogger{l: l}
-}
-
 // Log writes one access line. Duration is logged in milliseconds
 // (duration_ms) so lines are grep-able and plot-able without unit
 // parsing.

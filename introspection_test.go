@@ -3,8 +3,8 @@ package strudel_test
 // Integration tests for the observability layer: EXPLAIN profiles must
 // be identical at any worker count on every example site, and page
 // provenance must agree with the incremental rebuilder — every page a
-// delta rebuild re-renders traces back to a changed object, and no
-// reused page does.
+// selective or differential rebuild re-renders traces back to a
+// changed object, and no reused page does.
 
 import (
 	"math/rand"
@@ -105,9 +105,9 @@ func TestExplainOptimizerAcrossSites(t *testing.T) {
 	}
 }
 
-// runProvenanceDifferential replays the differential edit script with
-// introspection on and checks both provenance directions on every
-// selective round:
+// runProvenanceDifferential replays the differential edit script and
+// checks both provenance directions on every selective or differential
+// round:
 //
 //   - every re-rendered page's derivation (its Sources, old and new
 //     union — a page re-rendered because an object was *removed* only
@@ -122,21 +122,43 @@ func TestExplainOptimizerAcrossSites(t *testing.T) {
 // changing), so the reuse check compares at the site-object level,
 // where provenance (forward reachability) and the rebuilder (reverse
 // reachability from the changed objects) must agree exactly.
+//
+// The differential branch maintains the previous site graph in place,
+// so the site diff starts at a scratch build of the pre-edit data; the
+// data graph changes in place too, so each result's provenance is taken
+// before the next edit. checked accumulates, per rebuild mode, the
+// rendered and reused pages checked.
 func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.Builder,
 	fresh func() *graph.Graph, mutate func(*testing.T, *graph.Graph, *rand.Rand),
-	seed0 int64) (rendered, reused int) {
+	seed0 int64, differential bool, checked map[string]*[2]int) {
 	t.Helper()
+	provenance := func(b *core.Builder, res *core.Result) *core.Provenance {
+		t.Helper()
+		prov, err := b.Provenance(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prov
+	}
 	cur := fresh()
 	b := mkBuilder(t)
-	b.EnableIntrospection()
+	b.SetDifferential(differential)
 	b.SetDataGraph(cur)
 	prev, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	prevProv := provenance(b, prev)
 	old := fresh()
+	scratch := mkBuilder(t)
+	scratch.SetDifferential(false)
+	scratch.SetDataGraph(old)
 	for round := 0; round < diffRounds; round++ {
 		seed := seed0 + int64(round)
+		base, err := scratch.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
 		mutate(t, cur, rand.New(rand.NewSource(seed)))
 		delta := graph.Diff(old, cur)
 		res, err := b.Rebuild(prev)
@@ -144,15 +166,20 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 			t.Fatalf("round %d: %v", round, err)
 		}
 		mutate(t, old, rand.New(rand.NewSource(seed)))
-		if res.Incremental == nil || res.Incremental.Mode != "selective" {
-			prev = res
+		resProv := provenance(b, res)
+		mode := res.Incremental.Mode
+		if mode != "selective" && mode != "differential" {
+			prev, prevProv = res, resProv
 			continue
+		}
+		if checked[mode] == nil {
+			checked[mode] = &[2]int{}
 		}
 		changed := map[string]bool{}
 		for _, name := range delta.Objects() {
 			changed[name] = true
 		}
-		siteDelta := graph.Diff(prev.SiteGraph, res.SiteGraph)
+		siteDelta := graph.Diff(base.SiteGraph, res.SiteGraph)
 		changedSite := map[string]bool{}
 		for _, name := range append(append([]string{}, siteDelta.AddedObjects...), siteDelta.ChangedObjects...) {
 			changedSite[name] = true
@@ -162,17 +189,17 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 			renderedPaths[p] = true
 		}
 		for path := range res.Site.Pages {
-			pp, ok := res.PageProvenance(path)
+			pp, ok := resProv.Page(path)
 			if !ok {
-				t.Errorf("round %d: no provenance for page %s", round, path)
+				t.Errorf("round %d (%s): no provenance for page %s", round, mode, path)
 				continue
 			}
 			if renderedPaths[path] {
-				rendered++
+				checked[mode][0]++
 				// Union of the page's sources before and after the edit.
 				touches := false
-				for _, r := range []*core.Result{res, prev} {
-					if rp, ok := r.PageProvenance(path); ok {
+				for _, p := range []*core.Provenance{resProv, prevProv} {
+					if rp, ok := p.Page(path); ok {
 						for _, s := range rp.Sources {
 							if changed[s.Name] {
 								touches = true
@@ -181,43 +208,49 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 					}
 				}
 				if !touches {
-					t.Errorf("round %d: page %s was re-rendered but its provenance names no changed object %v",
-						round, path, delta.Objects())
+					t.Errorf("round %d (%s): page %s was re-rendered but its provenance names no changed object %v",
+						round, mode, path, delta.Objects())
 				}
 			} else {
-				reused++
+				checked[mode][1]++
 				for _, name := range pp.Objects {
 					if changedSite[name] {
-						t.Errorf("round %d: page %s was reused but its render closure contains changed site object %s",
-							round, path, name)
+						t.Errorf("round %d (%s): page %s was reused but its render closure contains changed site object %s",
+							round, mode, path, name)
 					}
 				}
 			}
 		}
-		prev = res
+		prev, prevProv = res, resProv
 	}
-	return rendered, reused
 }
 
 // TestProvenanceTracksDeltaRebuilds is the provenance half of the
 // differential suite: across random edit scripts on every example
 // site, provenance and the incremental rebuilder must agree on which
-// pages a change can reach.
+// pages a change can reach, on the differential branch and, with
+// SetDifferential(false), on the selective one.
 func TestProvenanceTracksDeltaRebuilds(t *testing.T) {
-	totalRendered, totalReused := 0, 0
+	checked := map[string]*[2]int{}
 	for _, site := range introspectionSites() {
 		site := site
 		t.Run(site.name, func(t *testing.T) {
-			rendered, reused := runProvenanceDifferential(t, site.mkBuilder, site.fresh, site.mutate, site.seed0)
-			t.Logf("%s: checked %d rendered, %d reused pages", site.name, rendered, reused)
-			totalRendered += rendered
-			totalReused += reused
+			for _, differential := range []bool{true, false} {
+				runProvenanceDifferential(t, site.mkBuilder, site.fresh, site.mutate, site.seed0, differential, checked)
+			}
 		})
 	}
-	if totalRendered == 0 {
-		t.Error("no selective round re-rendered any page — the provenance check never ran")
-	}
-	if totalReused == 0 {
-		t.Error("no selective round reused any page — the reuse check never ran")
+	for _, mode := range []string{"selective", "differential"} {
+		c := checked[mode]
+		if c == nil {
+			c = &[2]int{}
+		}
+		t.Logf("%s rounds: checked %d rendered, %d reused pages", mode, c[0], c[1])
+		if c[0] == 0 {
+			t.Errorf("no %s round re-rendered any page — the provenance check never ran", mode)
+		}
+		if c[1] == 0 {
+			t.Errorf("no %s round reused any page — the reuse check never ran", mode)
+		}
 	}
 }

@@ -187,7 +187,10 @@ func BenchmarkFig8Suitability(b *testing.B) {
 
 // BenchmarkMaterializeVsDynamic (E4) compares complete materialization
 // against click-time evaluation: total build cost vs first-click
-// latency, at growing corpus sizes.
+// latency, at growing corpus sizes. The first- and cached-click arms
+// time the root's page query alone; rendered-click times what the
+// dynamic edge serves, the root rendered through the Renderer on a
+// warm page cache (snapshot: BENCH_click.json).
 func BenchmarkMaterializeVsDynamic(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		data := workload.Articles(n, 5)
@@ -222,6 +225,24 @@ func BenchmarkMaterializeVsDynamic(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := dec.Page(roots[0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rendered-click-%d", n), func(b *testing.B) {
+			dec := incremental.Decompose(struql.MustParse(spec.Query), data, nil)
+			rend := &incremental.Renderer{Dec: dec, Templates: spec.Templates, EmbedOnly: spec.EmbedOnly}
+			roots, err := dec.Roots(spec.RootCollection)
+			if err != nil || len(roots) != 1 {
+				b.Fatalf("roots %v, %v", roots, err)
+			}
+			if _, err := rend.RenderPage(roots[0]); err != nil { // warm the page cache
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rend.RenderPage(roots[0]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -717,48 +738,6 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 	}
 }
 
-// partitionedSpec is a link-structured site with one page per object:
-// items link from per-year group indexes, nothing embeds a large set.
-// A one-object touch therefore re-renders only the item's page, its
-// group index and the root — the 10k-page shape on which differential
-// evaluation's single-digit-millisecond acceptance target is measured.
-// (BibliographySpec's AbstractsPage EMBEDs every abstract, so any
-// touch there pays an O(site) template render regardless of how fast
-// the evaluator is; its arms below document that render-bound floor.)
-func partitionedSpec() *workload.SiteSpec {
-	return &workload.SiteSpec{
-		Name: "partitioned",
-		Query: `INPUT BIBTEX
-CREATE HomePage()
-COLLECT Roots(HomePage())
-WHERE Publications(x), x -> "year" -> y
-CREATE ItemPage(x), GroupPage(y)
-LINK GroupPage(y) -> "Year" -> y,
-     GroupPage(y) -> "Item" -> ItemPage(x),
-     HomePage() -> "Group" -> GroupPage(y)
-{
-  WHERE x -> l -> v
-  LINK ItemPage(x) -> l -> v
-}
-OUTPUT Partitioned`,
-		Templates: map[string]*template.Template{
-			"HomePage": template.MustParse("HomePage", `<html><body><h1>Archive</h1>
-<SFMT_UL Group ORDER=ascend KEY=Year>
-</body></html>`),
-			"GroupPage": template.MustParse("GroupPage", `<html><body><h1>Year <SFMT Year></h1>
-<SFMT_UL Item ORDER=ascend KEY=title>
-</body></html>`),
-			"ItemPage": template.MustParse("ItemPage", `<html><body><h1><SFMT title></h1>
-<p>By <SFMT author DELIM=", ">. <SFMT year>.</p>
-<SIF abstract><p><SFMT abstract></p></SIF>
-</body></html>`),
-		},
-		Index:          "HomePage",
-		Root:           "HomePage",
-		RootCollection: "Roots",
-	}
-}
-
 // BenchmarkIncrementalEval measures the differential evaluation fast
 // path: touch one publication's title on an N-object site and rebuild
 // through the materialized binding relations (no query re-evaluation
@@ -772,7 +751,7 @@ func BenchmarkIncrementalEval(b *testing.B) {
 		name string
 		spec *workload.SiteSpec
 	}{
-		{"partitioned", partitionedSpec()},
+		{"partitioned", workload.PartitionedSpec()},
 		{"bib", workload.BibliographySpec()},
 	}
 	for _, shape := range shapes {

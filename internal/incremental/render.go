@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"html"
+	"iter"
 	"net/url"
 	"strings"
 	"time"
@@ -16,9 +17,9 @@ import (
 // Renderer renders dynamically computed pages to HTML with the same
 // template language the static generator uses. Because a dynamic page
 // is not part of a materialized site graph, the renderer materializes
-// a small transient graph around the requested page — the page's own
-// edges plus, recursively, the edges of pages it embeds — and
-// evaluates the template against it.
+// a small transient graph around the requested page — only what the
+// templates rendering it can read (see materialize) — and evaluates
+// the template against it.
 type Renderer struct {
 	Dec       *Decomposition
 	Templates map[string]*template.Template
@@ -26,7 +27,9 @@ type Renderer struct {
 	EmbedOnly map[string]bool
 	// URLFor maps a page key to its URL; default "/page/<key>".
 	URLFor func(key string) string
-	// MaxDepth bounds transitive embedding (default 8).
+	// MaxDepth bounds how deep pages embed pages (default 8): a render
+	// that embeds deeper, as an EMBED cycle does, fails. It does not
+	// limit which pages a render loads.
 	MaxDepth int
 
 	// BuiltAt is when the renderer's data graph was last refreshed (or
@@ -86,56 +89,147 @@ func (r *Renderer) RenderPageContext(ctx context.Context, ref PageRef) (string, 
 		_, ctx, finish = telemetry.StartSpan(ctx, "render "+ref.Key())
 		defer finish()
 	}
-	g := graph.New("dynamic")
-	oid, err := r.materialize(ctx, g, ref, 0, map[string]graph.OID{})
+	t := &transient{r: r, g: graph.New("dynamic"), pages: map[string]*transientPage{}}
+	var reads *template.ReadSet
+	if tpl, ok := r.Templates[ref.Func]; ok {
+		reads = tpl.Reads()
+	}
+	p, err := t.materialize(ctx, ref, reads)
 	if err != nil {
 		return "", err
 	}
-	return r.renderOID(g, oid, 0)
+	return r.renderOID(t.g, p.oid, 0)
 }
 
-// materialize loads a page's edges into the transient graph, recursing
-// into page targets up to the depth limit. Non-embedded page targets
-// are materialized shallowly (node only) since only their key is
-// needed for the link.
-func (r *Renderer) materialize(ctx context.Context, g *graph.Graph, ref PageRef, depth int, seen map[string]graph.OID) (graph.OID, error) {
-	key := ref.keyWith(r.Dec.input)
-	if oid, ok := seen[key]; ok {
-		return oid, nil
+// transient is the graph one render evaluates its templates against,
+// with what it has loaded of each page so far.
+type transient struct {
+	r     *Renderer
+	g     *graph.Graph
+	pages map[string]*transientPage
+}
+
+// transientPage is one page's node in the transient graph. Its edges
+// are loaded a whole label at a time, in PageData order, so a template
+// sees every value of an attribute it reads, in the order a complete
+// materialization would give.
+type transientPage struct {
+	oid  graph.OID
+	data *PageData
+	// loaded holds the labels whose edges are in the graph; visited
+	// holds the read-set nodes the page has been materialized for.
+	loaded  map[string]bool
+	visited map[*template.ReadSet]bool
+}
+
+// page returns ref's node, creating it (with no edges) on first use.
+func (t *transient) page(ref PageRef) *transientPage {
+	key := ref.keyWith(t.r.Dec.input)
+	p, ok := t.pages[key]
+	if !ok {
+		p = &transientPage{oid: t.g.NewNode(key)}
+		t.pages[key] = p
 	}
-	oid := g.NewNode(key)
-	seen[key] = oid
-	if depth > r.maxDepth() {
-		return oid, nil
+	return p
+}
+
+// materialize loads into the transient graph what a template can read
+// of ref when reads is the read-set node it reaches ref at: the edges
+// whose labels reads names, then, recursively, each page target at
+// the child node for its label. A target that may be embedded (the
+// child is EMBED-marked, or its function is embed-only) and has a
+// template is also materialized for that template's own read set,
+// since rendering it evaluates the template there. A page is computed
+// only when some node it is reached at has children, so a link whose
+// target the template does not read costs the target's key alone.
+// Each (page, node) pair is visited once, which bounds the walk by
+// the pages times the read-set nodes and ends EMBED cycles; the
+// embedding depth bound is renderOID's.
+func (t *transient) materialize(ctx context.Context, ref PageRef, reads *template.ReadSet) (*transientPage, error) {
+	p := t.page(ref)
+	if reads == nil || reads.Leaf() || p.visited[reads] {
+		return p, nil
 	}
-	pd, err := r.Dec.PageContext(ctx, ref)
-	if err != nil {
-		return 0, err
+	if p.data == nil {
+		pd, err := t.r.Dec.PageContext(ctx, ref)
+		if err != nil {
+			return nil, err
+		}
+		p.data = pd
+		p.loaded = map[string]bool{}
+		p.visited = map[*template.ReadSet]bool{}
 	}
-	for _, e := range pd.Edges {
-		switch {
-		case e.Page != nil:
-			sub, err := r.materialize(ctx, g, *e.Page, depth+1, seen)
-			if err != nil {
-				return 0, err
+	p.visited[reads] = true
+	var fresh []string
+	for label, run := range labelRuns(p.data.Edges) {
+		if reads.Child(label) == nil || p.loaded[label] {
+			continue
+		}
+		for i := range run {
+			if err := t.addEdge(p.oid, &run[i]); err != nil {
+				return nil, err
 			}
-			if err := g.AddEdge(oid, e.Label, graph.NodeValue(sub)); err != nil {
-				return 0, err
+		}
+		fresh = append(fresh, label)
+	}
+	for _, label := range fresh {
+		p.loaded[label] = true
+	}
+	for label, run := range labelRuns(p.data.Edges) {
+		sub := reads.Child(label)
+		if sub == nil {
+			continue
+		}
+		for i := range run {
+			target := run[i].Page
+			if target == nil {
+				continue
 			}
-		case e.Value.IsNode():
-			// Data-graph node: carry its name across for display.
-			name := r.Dec.input.NodeName(e.Value.OID())
-			sub := g.NewNode(name)
-			if err := g.AddEdge(oid, e.Label, graph.NodeValue(sub)); err != nil {
-				return 0, err
+			if _, err := t.materialize(ctx, *target, sub); err != nil {
+				return nil, err
 			}
-		default:
-			if err := g.AddEdge(oid, e.Label, e.Value); err != nil {
-				return 0, err
+			if !sub.Embed() && !t.r.EmbedOnly[target.Func] {
+				continue
+			}
+			if tpl, ok := t.r.Templates[target.Func]; ok {
+				if _, err := t.materialize(ctx, *target, tpl.Reads()); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return oid, nil
+	return p, nil
+}
+
+// labelRuns yields a page's edges as maximal runs of one label. The
+// edges of one label mostly come from one link clause and sit
+// together, so a caller looks a label up once per run, not per edge.
+func labelRuns(edges []PageEdge) iter.Seq2[string, []PageEdge] {
+	return func(yield func(string, []PageEdge) bool) {
+		for i := 0; i < len(edges); {
+			j := i + 1
+			for j < len(edges) && edges[j].Label == edges[i].Label {
+				j++
+			}
+			if !yield(edges[i].Label, edges[i:j]) {
+				return
+			}
+			i = j
+		}
+	}
+}
+
+// addEdge adds one of a page's edges to the transient graph.
+func (t *transient) addEdge(from graph.OID, e *PageEdge) error {
+	to := e.Value
+	switch {
+	case e.Page != nil:
+		to = graph.NodeValue(t.page(*e.Page).oid)
+	case e.Value.IsNode():
+		// Data-graph node: carry its name across for display.
+		to = graph.NodeValue(t.g.NewNode(t.r.Dec.input.NodeName(e.Value.OID())))
+	}
+	return t.g.AddEdge(from, e.Label, to)
 }
 
 // funcOf extracts the Skolem function from a transient node name.

@@ -62,6 +62,23 @@ type goodCopy struct {
 	sum [sha256.Size]byte
 }
 
+// sumString is the SHA-256 of s, hashed through a small buffer rather
+// than a []byte copy of s: every refresh hashes every source, and a
+// copy of each source is most of what a refresh that changes nothing
+// allocates.
+func sumString(s string) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [8 << 10]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n]) // a hash.Hash Write never fails
+		s = s[n:]
+	}
+	var sum [sha256.Size]byte
+	copy(sum[:], h.Sum(nil))
+	return sum
+}
+
 // Resilience configures fault tolerance for Refresh. The zero value
 // means one fetch attempt, no deadline, no circuit breaker — failures
 // still degrade to last-good data, but nothing is retried.
@@ -416,7 +433,7 @@ func (m *Mediator) RefreshWithReport() (*graph.Graph, *RefreshReport, error) {
 		st.Attempts = attempts
 		last, hasLast := m.lastGood[s.Name]
 		if err == nil {
-			sum := sha256.Sum256([]byte(content))
+			sum := sumString(content)
 			if hasLast && sum == last.sum {
 				st.Unchanged = true
 				st.Delta = &graph.Delta{}

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"crypto/sha256"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -684,6 +685,17 @@ func TestRefreshTelemetry(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSumStringMatchesSHA256: the buffered source hash is SHA-256,
+// across the buffer's boundaries.
+func TestSumStringMatchesSHA256(t *testing.T) {
+	for _, n := range []int{0, 1, 8<<10 - 1, 8 << 10, 8<<10 + 1, 100_000} {
+		s := strings.Repeat("strudel", n/7+1)[:n]
+		if got, want := sumString(s), sha256.Sum256([]byte(s)); got != want {
+			t.Errorf("len %d: sumString = %x, want %x", n, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -224,6 +225,31 @@ func TestWithTimeoutCompletes(t *testing.T) {
 	}
 	if err := WithTimeout(nil, 0, func() error { return nil }); err != nil {
 		t.Fatalf("no-deadline err = %v", err)
+	}
+}
+
+// TestWithTimeoutReleasesTimers: calls that return long before their
+// deadline leave nothing live behind. Each call starts a wall-clock
+// timer for its deadline, and under the go 1.22 timer semantics an
+// unreferenced timer stayed live until it fired, so a server bounding
+// every click-time render by a 10 s timeout retained one timer per
+// request for 10 s. go.mod's go 1.23 line makes such timers
+// collectable at once.
+func TestWithTimeoutReleasesTimers(t *testing.T) {
+	noop := func() error { return nil }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range 100000 {
+		if err := WithTimeout(Real, time.Hour, noop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 5<<20 {
+		t.Errorf("100000 completed calls left %.1f MB live, want under 5 MB", float64(growth)/(1<<20))
 	}
 }
 

@@ -28,6 +28,7 @@ type Template struct {
 	Name   string
 	Source string
 	nodes  []node
+	reads  *ReadSet
 }
 
 type node interface{ isNode() }

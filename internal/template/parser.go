@@ -18,7 +18,7 @@ func Parse(name, src string) (*Template, error) {
 	if p.pos < len(p.src) {
 		return nil, p.errf("unexpected closing tag %q", p.pendingClose)
 	}
-	return &Template{Name: name, Source: src, nodes: nodes}, nil
+	return &Template{Name: name, Source: src, nodes: nodes, reads: readsOf(nodes)}, nil
 }
 
 // MustParse parses a template and panics on error.

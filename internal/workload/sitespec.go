@@ -163,6 +163,48 @@ OUTPUT Site`, extra),
 	return spec
 }
 
+// PartitionedSpec is a link-structured site with one page per object:
+// items link from per-year group indexes, nothing embeds a large set.
+// A one-object touch therefore re-renders only the item's page, its
+// group index and the root — the 10k-page shape on which differential
+// evaluation's single-digit-millisecond acceptance target is measured.
+// (BibliographySpec's AbstractsPage EMBEDs every abstract, so any
+// touch there pays an O(site) template render regardless of how fast
+// the evaluator is.)
+func PartitionedSpec() *SiteSpec {
+	return &SiteSpec{
+		Name: "partitioned",
+		Query: `INPUT BIBTEX
+CREATE HomePage()
+COLLECT Roots(HomePage())
+WHERE Publications(x), x -> "year" -> y
+CREATE ItemPage(x), GroupPage(y)
+LINK GroupPage(y) -> "Year" -> y,
+     GroupPage(y) -> "Item" -> ItemPage(x),
+     HomePage() -> "Group" -> GroupPage(y)
+{
+  WHERE x -> l -> v
+  LINK ItemPage(x) -> l -> v
+}
+OUTPUT Partitioned`,
+		Templates: mustTemplates(map[string]string{
+			"HomePage": `<html><body><h1>Archive</h1>
+<SFMT_UL Group ORDER=ascend KEY=Year>
+</body></html>`,
+			"GroupPage": `<html><body><h1>Year <SFMT Year></h1>
+<SFMT_UL Item ORDER=ascend KEY=title>
+</body></html>`,
+			"ItemPage": `<html><body><h1><SFMT title></h1>
+<p>By <SFMT author DELIM=", ">. <SFMT year>.</p>
+<SIF abstract><p><SFMT abstract></p></SIF>
+</body></html>`,
+		}),
+		Index:          "HomePage",
+		Root:           "HomePage",
+		RootCollection: "Roots",
+	}
+}
+
 // OrgQuery is the organization site's definition query over the
 // mediated warehouse of the five sources. It is shared verbatim by the
 // internal and external versions: the external site differs only in

@@ -190,7 +190,7 @@ func TestPropertyMediatedRebuild(t *testing.T) {
 		name string
 		spec *workload.SiteSpec
 	}{
-		{"partitioned", partitionedSpec()},
+		{"partitioned", workload.PartitionedSpec()},
 		{"homepage", workload.BibliographySpec()},
 	}
 	for _, sh := range shapes {

@@ -1,12 +1,11 @@
 package strudel_test
 
-// Differential tests of provenance-keyed ETags: tags must be
-// byte-identical across worker counts and between from-scratch and
-// delta rebuilds of equal content, and a one-object data edit must
-// change exactly the tags of pages whose provenance closure the edit
-// reaches — verified both structurally (against an independently
-// computed closure digest) and behaviorally (revalidating every page
-// through a serving edge across the swap: untouched pages answer 304).
+// Differential tests of page ETags: tags must be byte-identical across
+// worker counts and between from-scratch and delta rebuilds of equal
+// content, and a one-object data edit must change exactly the tags of
+// pages whose bytes changed — verified both structurally (against the
+// bodies) and behaviorally (revalidating every page through a serving
+// edge across the swap: pages with unchanged bytes answer 304).
 
 import (
 	"math/rand"
@@ -15,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"strudel/internal/core"
 	"strudel/internal/graph"
@@ -36,29 +36,6 @@ func etagMap(t *testing.T, res *core.Result) map[string]string {
 		m[path] = p.ETag
 	}
 	return m
-}
-
-// closureDigest serializes a page's provenance closure — every site
-// object reachable from it, with names and sorted outgoing edges —
-// independently of the etagger's encoding, so the two can disagree.
-func closureDigest(res *core.Result, path string) string {
-	p := res.Site.Pages[path]
-	g := res.SiteGraph
-	var lines []string
-	for oid := range g.Reachable(p.OID) {
-		var edges []string
-		for _, e := range g.Out(oid) {
-			to := e.To.String()
-			if e.To.IsNode() {
-				to = "@" + g.NodeName(e.To.OID())
-			}
-			edges = append(edges, e.Label+"->"+to)
-		}
-		sort.Strings(edges)
-		lines = append(lines, g.NodeName(oid)+"{"+strings.Join(edges, ";")+"}")
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }
 
 func etagBibBuilder(t *testing.T, workers int, data *graph.Graph) *core.Builder {
@@ -138,10 +115,10 @@ func TestETagDeltaEqualsScratch(t *testing.T) {
 }
 
 // TestETagExactInvalidation: retitling one publication changes the
-// ETag of exactly the pages whose provenance closure reaches that
-// object — checked structurally against an independent closure digest,
-// then behaviorally by revalidating every page through a serving edge
-// across the SetSource swap.
+// ETag of exactly the pages whose bytes changed. A page the cone
+// re-rendered to identical bytes keeps its tag, answers 304 to it
+// across the SetSource swap and keeps its resident hot entry; only hot
+// pages whose bytes changed are re-materialized.
 func TestETagExactInvalidation(t *testing.T) {
 	cur := workload.Bibliography(18, 42)
 	b := etagBibBuilder(t, 4, cur)
@@ -150,13 +127,21 @@ func TestETagExactInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	prevTags := etagMap(t, prev)
-	prevDigests := map[string]string{}
-	for path := range prev.Site.Pages {
-		prevDigests[path] = closureDigest(prev, path)
-	}
 
-	// Serve the first build and validate every page once.
-	edge := server.NewEdge(server.NewSiteSource(prev.Site), server.EdgeConfig{Mode: "static"})
+	// Serve the first build with every page hot, and validate every
+	// page once.
+	acct := server.NewAccounting(len(prevTags))
+	edge := server.NewEdge(server.NewSiteSource(prev.Site), server.EdgeConfig{
+		Mode: "static", HotPages: len(prevTags), Accounting: acct,
+	})
+	now := time.Now()
+	for path := range prevTags {
+		acct.Record("/"+path, 200, 1, time.Millisecond, now)
+	}
+	edge.Rerank()
+	if hot := edge.HotKeys(); len(hot) != len(prevTags) {
+		t.Fatalf("%d of %d pages hot before the swap", len(hot), len(prevTags))
+	}
 	for path, tag := range prevTags {
 		req := httptest.NewRequest(http.MethodGet, "/"+path, nil)
 		rec := httptest.NewRecorder()
@@ -190,17 +175,15 @@ func TestETagExactInvalidation(t *testing.T) {
 		t.Fatalf("page set changed under a retitle: %d -> %d", len(prevTags), len(newTags))
 	}
 
-	// Structural check: tag changed iff the closure digest or the body
-	// changed — and the closure direction must agree exactly.
+	// Structural check: tag changed iff the body changed.
 	changed, unchanged := 0, 0
 	for path, tag := range newTags {
 		tagChanged := tag != prevTags[path]
-		closureChanged := closureDigest(res, path) != prevDigests[path] ||
-			res.Site.Pages[path].HTML != prev.Site.Pages[path].HTML
-		if tagChanged != closureChanged {
-			t.Errorf("page %s: ETag changed=%v but closure/body changed=%v", path, tagChanged, closureChanged)
+		bodyChanged := res.Site.Pages[path].HTML != prev.Site.Pages[path].HTML
+		if tagChanged != bodyChanged {
+			t.Errorf("page %s: ETag changed=%v but body changed=%v", path, tagChanged, bodyChanged)
 		}
-		if tagChanged {
+		if bodyChanged {
 			changed++
 		} else {
 			unchanged++
@@ -209,17 +192,38 @@ func TestETagExactInvalidation(t *testing.T) {
 	if changed == 0 || unchanged == 0 {
 		t.Fatalf("degenerate edit: %d changed, %d unchanged — test proves nothing", changed, unchanged)
 	}
+	// The cone over-approximates: at least one page it re-rendered
+	// came out byte-identical, and that page keeps its tag.
+	if res.Incremental == nil || res.Incremental.Site == nil {
+		t.Fatalf("rebuild reported no page-level reuse: %+v", res.Incremental)
+	}
+	var sameBytes []string
+	for _, path := range res.Incremental.Site.RenderedPaths {
+		if res.Site.Pages[path].HTML == prev.Site.Pages[path].HTML {
+			sameBytes = append(sameBytes, path)
+		}
+	}
+	if len(sameBytes) == 0 {
+		t.Fatalf("no re-rendered page kept its bytes (rendered %v) — test proves nothing", res.Incremental.Site.RenderedPaths)
+	}
 
 	// Behavioral check: swap the edge to the new build and revalidate
-	// every page with its old tag. Untouched closures answer 304;
-	// touched ones serve fresh bytes under the new tag.
+	// every page with its old tag. Pages with unchanged bytes answer
+	// 304, re-rendered ones included; changed ones serve fresh bytes
+	// under the new tag.
 	edge.SetSource(server.NewSiteSource(res.Site))
+	if hot := edge.HotKeys(); len(hot) != len(prevTags) {
+		t.Errorf("%d of %d pages hot after the swap", len(hot), len(prevTags))
+	}
+	if got := edge.Stats().Rematerializations; got != uint64(changed) {
+		t.Errorf("rematerializations = %d, want %d (hot pages whose bytes changed)", got, changed)
+	}
 	for path, oldTag := range prevTags {
 		req := httptest.NewRequest(http.MethodGet, "/"+path, nil)
 		req.Header.Set("If-None-Match", oldTag)
 		rec := httptest.NewRecorder()
 		edge.ServeHTTP(rec, req)
-		if newTags[path] == oldTag {
+		if res.Site.Pages[path].HTML == prev.Site.Pages[path].HTML {
 			if rec.Code != 304 {
 				t.Errorf("unchanged page %s: revalidation = %d, want 304", path, rec.Code)
 			}
@@ -236,5 +240,6 @@ func TestETagExactInvalidation(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("exact invalidation: %d/%d pages invalidated by a one-object retitle", changed, len(newTags))
+	t.Logf("exact invalidation: %d/%d pages invalidated by a one-object retitle; re-rendered with unchanged bytes: %v",
+		changed, len(newTags), sameBytes)
 }

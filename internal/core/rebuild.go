@@ -52,10 +52,11 @@ type RebuildInfo struct {
 	// differential branch ran: tuples retained vs recomputed, blocks
 	// maintained vs re-bound, output lists repaired.
 	Eval *struql.MatStats
-	// Invalidated lists the paths whose ETag changed relative to the
-	// previous build, sorted (new pages included, vanished pages not) —
-	// exactly the URLs HTTP caches must refetch after the swap. Empty
-	// in noop mode: every tag carried over.
+	// Invalidated lists the paths whose ETag, and so whose bytes,
+	// changed relative to the previous build, sorted (new pages
+	// included, vanished pages not) — exactly the URLs HTTP caches
+	// must refetch after the swap. Empty in noop mode: every tag
+	// carried over.
 	Invalidated []string
 }
 

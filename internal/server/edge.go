@@ -1,11 +1,10 @@
-// The serving edge: provenance-keyed HTTP caching over the paper's
-// static/dynamic spectrum (Sec. 6). Every page carries a strong ETag
-// derived from its provenance-closure hash (sitegen/etag.go), so the
-// edge can answer If-None-Match with 304 Not Modified without touching
-// page bytes — and because a delta rebuild changes exactly the ETags
-// of pages whose closure the change touched, a site swap invalidates
-// client and edge caches *exactly*: everything outside the change's
-// cone keeps serving 304s.
+// The serving edge: HTTP caching over the paper's static/dynamic
+// spectrum (Sec. 6). Every page carries a strong ETag that is the hash
+// of its bytes (sitegen.BytesETag), so the edge can answer
+// If-None-Match with 304 Not Modified without touching page bytes —
+// and because a rebuild changes exactly the ETags of pages whose bytes
+// changed, a site swap invalidates client and edge caches *exactly*:
+// every page that still has the same bytes keeps serving 304s.
 //
 // On top of the conditional-request layer sits a hot/cold
 // materialization policy, the paper's spectrum made operational: the
@@ -95,8 +94,7 @@ func (s *SiteSource) Resolve(path string) (string, bool) {
 }
 
 // Meta implements Source. Materialized pages know their ETag without
-// rendering — it was computed at build time from the provenance
-// closure.
+// rendering — it was computed at build time from the page's bytes.
 func (s *SiteSource) Meta(key string) (string, bool) {
 	if key == listingKey {
 		s.renderListing()
@@ -124,8 +122,7 @@ func (s *SiteSource) Render(_ context.Context, key string) (string, string, erro
 }
 
 // renderListing materializes the index listing once per snapshot; its
-// ETag is a bytes hash (the listing's "closure" is the page set
-// itself, which any page change may alter).
+// ETag is the hash of its bytes, like every page's.
 func (s *SiteSource) renderListing() {
 	s.listingOnce.Do(func() {
 		var b strings.Builder
@@ -595,11 +592,12 @@ func etagMatch(header, etag string) bool {
 }
 
 // acceptsGzip reports whether the client accepts gzip content coding.
-// Parses Accept-Encoding just enough to honor q=0 refusals.
+// Parses Accept-Encoding just enough to honor q=0 refusals. Content
+// codings are case-insensitive (RFC 9110 §8.4.1).
 func acceptsGzip(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		token, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(token) != "gzip" {
+		if !strings.EqualFold(strings.TrimSpace(token), "gzip") {
 			continue
 		}
 		q := strings.TrimSpace(params)
@@ -646,9 +644,9 @@ func (e *Edge) materialize(src Source, key string, promoted time.Time) *hotEntry
 
 // SetSource swaps in a new content snapshot. Residency survives the
 // swap exactly where the ETag does: a hot page whose tag is unchanged
-// under the new source keeps its bytes; a hot page whose closure the
-// delta touched is eagerly re-materialized (so the hot set stays warm
-// across refreshes); a vanished page is dropped.
+// under the new source keeps its bytes; a hot page whose bytes changed
+// is eagerly re-materialized (so the hot set stays warm across
+// refreshes); a vanished page is dropped.
 func (e *Edge) SetSource(src Source) {
 	e.policyMu.Lock()
 	defer e.policyMu.Unlock()

@@ -19,7 +19,7 @@ import (
 )
 
 // buildStaticSite evaluates a small site end to end (data definition →
-// StruQL → sitegen) so pages carry real provenance-keyed ETags. The
+// StruQL → sitegen) so pages carry real build-time ETags. The
 // site has no index.html, so "/" serves the generated listing.
 func buildStaticSite(t *testing.T) *sitegen.Site {
 	t.Helper()
@@ -278,5 +278,30 @@ func TestEdgeGzipPrecompression(t *testing.T) {
 		map[string]string{"Accept-Encoding": "gzip"})
 	if rec.Code != 200 || rec.Header().Get("Content-Encoding") != "" {
 		t.Errorf("cold page = %d encoding %q", rec.Code, rec.Header().Get("Content-Encoding"))
+	}
+}
+
+// TestAcceptsGzip: Accept-Encoding negotiation compares the coding
+// case-insensitively and honors q=0 refusals.
+func TestAcceptsGzip(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"gzip", true},
+		{"GZIP", true},
+		{"Gzip;q=0.5", true},
+		{"gzip;q=0", false},
+		{"br, gzip", true},
+		{"identity", false},
+		{"", false},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/", nil)
+		if tc.header != "" {
+			r.Header.Set("Accept-Encoding", tc.header)
+		}
+		if got := acceptsGzip(r); got != tc.want {
+			t.Errorf("Accept-Encoding %q: acceptsGzip = %v, want %v", tc.header, got, tc.want)
+		}
 	}
 }

@@ -41,7 +41,7 @@ type DeltaStats struct {
 // rendered before a change, re-rendering only the page objects in cone
 // and adopting every other page of prev by name. An adopted page keeps
 // its bytes, title and entity tag: its closure avoided the change, so
-// conditional requests keep answering 304 across the swap.
+// a full render would produce the same bytes and therefore the same tag.
 //
 // The contract: cone over-approximates every object whose page — or
 // whose linking pages — could have changed since prev was rendered,

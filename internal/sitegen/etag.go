@@ -1,131 +1,23 @@
-// Provenance-keyed entity tags. Every generated page carries a strong
-// HTTP ETag derived from its *render closure* — the set of site-graph
-// objects reachable from the page object, which is exactly the set
-// whose content the rendered bytes can depend on (PageProvenanceFor
-// walks the same closure) — plus the rendered bytes themselves.
-//
-// Two properties follow, and the serving edge leans on both:
-//
-//   - Determinism: the fingerprint of an object is a pure function of
-//     its symbolic name and canonical out-edge set (the same canonical
-//     form graph.Diff compares), so ETags are byte-identical across
-//     worker counts and identical between a from-scratch build and a
-//     delta rebuild of equal content.
-//
-//   - Exact invalidation: a page's ETag changes iff its closure
-//     intersects the content a delta touched (or its own bytes
-//     changed). Pages outside a change's reverse-reachability cone are
-//     carried over with their ETag, so conditional requests keep
-//     answering 304 across a site swap.
-//
-// Granularity caveat: the closure is at *site-object* granularity, the
-// same granularity the differential rebuilder invalidates at. Content
-// reachable only through external file atoms (Config.FileResolver) is
-// seen by the body hash but not the closure hash.
+// Entity tags. Every page the system serves — a generated page, the
+// static listing, a click-time page — carries a strong HTTP ETag that
+// is the hash of the bytes it validates. A strong validator should
+// change only when stored responses must be invalidated (RFC 9110
+// §8.8.1), and stored responses are bytes: a page the incremental
+// regenerator re-renders to identical bytes keeps its tag, so
+// conditional requests for it keep answering 304 across a site swap.
+// The tag is a pure function of the body, so it is identical across
+// worker counts and between a from-scratch build and a delta rebuild
+// of equal content; two bodies share a tag only through a collision of
+// SHA-256 truncated to 160 bits.
 package sitegen
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-
-	"strudel/internal/graph"
 )
 
-// etagger computes closure-keyed page ETags over one immutable site
-// graph. Object fingerprints are memoized so pages with overlapping
-// closures (every page shares the objects it links to) pay for each
-// object once per generation run. Safe for concurrent use by the
-// render pool's workers.
-type etagger struct {
-	g    *graph.Graph
-	mu   sync.Mutex
-	memo map[graph.OID][sha256.Size]byte
-}
-
-func newETagger(g *graph.Graph) *etagger {
-	return &etagger{g: g, memo: map[graph.OID][sha256.Size]byte{}}
-}
-
-// fingerprint hashes one object's content: its symbolic name plus its
-// canonical out-edge set, encoded exactly as graph.Diff's snapshot
-// ("label\x00valueKey", node targets by name) so "fingerprint changed"
-// and "Diff reports the object changed" coincide.
-func (e *etagger) fingerprint(oid graph.OID) [sha256.Size]byte {
-	e.mu.Lock()
-	fp, ok := e.memo[oid]
-	e.mu.Unlock()
-	if ok {
-		return fp
-	}
-	edges := e.g.Out(oid)
-	keys := make([]string, 0, len(edges))
-	for _, ed := range edges {
-		keys = append(keys, ed.Label+"\x00"+e.valKey(ed.To))
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	writeLenPrefixed(h, e.g.NodeName(oid))
-	for _, k := range keys {
-		writeLenPrefixed(h, k)
-	}
-	h.Sum(fp[:0])
-	e.mu.Lock()
-	e.memo[oid] = fp
-	e.mu.Unlock()
-	return fp
-}
-
-// valKey renders an edge target content-canonically: nodes by symbolic
-// name (stable across re-evaluations; unnamed nodes fall back to their
-// OID, which is only stable for in-place maintenance), atoms by their
-// typed string form.
-func (e *etagger) valKey(v graph.Value) string {
-	if v.IsNode() {
-		if name := e.g.NodeName(v.OID()); name != "" {
-			return "@" + name
-		}
-		return "&" + strconv.FormatUint(uint64(v.OID()), 10)
-	}
-	return v.String()
-}
-
-// writeLenPrefixed writes a length-delimited string so concatenated
-// fields can never alias each other.
-func writeLenPrefixed(w io.Writer, s string) {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(s)))
-	w.Write(lenBuf[:n])
-	io.WriteString(w, s)
-}
-
-// pageETag derives the strong entity tag for a rendered page: the
-// XOR-combination of its closure's object fingerprints (set-hash —
-// order-independent, so no sort over the closure is needed) hashed
-// together with the rendered bytes. The tag is returned in HTTP wire
-// form, quotes included.
-func (e *etagger) pageETag(oid graph.OID, body string) string {
-	var acc [sha256.Size]byte
-	for member := range e.g.Reachable(oid) {
-		fp := e.fingerprint(member)
-		for i := range acc {
-			acc[i] ^= fp[i]
-		}
-	}
-	h := sha256.New()
-	h.Write(acc[:])
-	io.WriteString(h, body)
-	sum := h.Sum(nil)
-	return `"` + hex.EncodeToString(sum[:20]) + `"`
-}
-
-// BytesETag is the strong entity tag for content with no closure — a
-// dynamically computed page or a generated listing — derived from the
-// bytes alone.
+// BytesETag is the strong entity tag of body in HTTP wire form, quotes
+// included: the first 160 bits of its SHA-256.
 func BytesETag(body string) string {
 	sum := sha256.Sum256([]byte(body))
 	return `"` + hex.EncodeToString(sum[:20]) + `"`

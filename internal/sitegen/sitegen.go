@@ -70,11 +70,11 @@ type Page struct {
 	Name  string
 	HTML  string
 	Title string
-	// ETag is the page's strong HTTP entity tag, derived from the
-	// SHA-256 of its provenance closure plus the rendered bytes (see
-	// etag.go). Computed once at build/delta time; the serving edge
-	// answers If-None-Match from it. Carried unchanged when a delta
-	// rebuild reuses the page.
+	// ETag is the page's strong HTTP entity tag, BytesETag(HTML).
+	// Computed once at build/delta time; the serving edge answers
+	// If-None-Match from it. Carried unchanged when a delta rebuild
+	// reuses the page, and equal to the old tag when it re-renders the
+	// page to the same bytes.
 	ETag string
 }
 
@@ -284,15 +284,13 @@ func (g *Generator) assignPaths() (*Site, []graph.OID) {
 }
 
 // renderPages renders the given page objects into site concurrently.
-// Each rendered page also gets its closure-keyed ETag here (see
-// etag.go); the shared fingerprint memo makes the ETag pass cost one
-// fingerprint per distinct closure object, not one per page.
+// Each rendered page also gets its ETag here: the hash of its bytes
+// (see etag.go).
 func (g *Generator) renderPages(ctx context.Context, site *Site, pageOIDs []graph.OID) error {
 	p := g.cfg.Pool
 	if p == nil {
 		p = pool.New(g.cfg.Workers)
 	}
-	et := newETagger(g.site)
 	return pool.ForEach(pool.WithPhase(ctx, "render"), p, len(pageOIDs), func(_ context.Context, i int) error {
 		oid := pageOIDs[i]
 		htmlText, err := g.renderObject(oid, site, 0)
@@ -302,7 +300,7 @@ func (g *Generator) renderPages(ctx context.Context, site *Site, pageOIDs []grap
 		pg := site.Pages[site.PathOf[oid]]
 		pg.HTML = htmlText
 		pg.Title = g.titleOf(oid)
-		pg.ETag = et.pageETag(oid, htmlText)
+		pg.ETag = BytesETag(htmlText)
 		return nil
 	})
 }

@@ -5,7 +5,7 @@ package strudel_test
 // a deterministic Zipf workload with mixed conditional traffic. The
 // paper's serving argument (Sec. 6) is that a materialized site keeps
 // click latency flat at scale; here the edge must answer at least 90%
-// of requests from provenance-keyed revalidation (304) or resident hot
+// of requests from strong-ETag revalidation (304) or resident hot
 // bytes, hold an in-process p99 floor, and survive injected faults
 // without corrupting a single body. BENCH_serve.json snapshots the
 // measured numbers.

@@ -5,7 +5,7 @@ package strudel_test
 // Builder.Rebuild keyed on the warehouse delta. Every step must serve
 // what a from-scratch build over the same bytes serves — page paths,
 // bytes and strong ETags — and report as invalidated exactly the pages
-// whose ETag moved.
+// whose ETag moved, which are exactly the pages whose bytes changed.
 
 import (
 	"fmt"
@@ -117,18 +117,21 @@ func mediatedSite(t *testing.T, spec *workload.SiteSpec, c *bibFiles, workers in
 	return b
 }
 
-// etagDiff lists the paths of next whose ETag differs from prev's, new
-// pages included, sorted.
-func etagDiff(prev, next *sitegen.Site) []string {
+// changedPaths lists the paths of next whose key differs from prev's,
+// new pages included, sorted.
+func changedPaths(prev, next *sitegen.Site, key func(*sitegen.Page) string) []string {
 	var out []string
 	for path, p := range next.Pages {
-		if pp, ok := prev.Pages[path]; !ok || pp.ETag != p.ETag {
+		if pp, ok := prev.Pages[path]; !ok || key(pp) != key(p) {
 			out = append(out, path)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
+
+func pageETag(p *sitegen.Page) string { return p.ETag }
+func pageHTML(p *sitegen.Page) string { return p.HTML }
 
 // runMediatedScript runs one seeded edit script and checks every step.
 // It returns the number of steps that re-rendered a strict subset of
@@ -173,8 +176,11 @@ func runMediatedScript(t *testing.T, spec *workload.SiteSpec, workers int, seed 
 				t.Errorf("step %d (%s, %s): %s ETag %s, scratch %s", step, what, info.Summary(), path, gp.ETag, wp.ETag)
 			}
 		}
-		if got, exp := strings.Join(info.Invalidated, " "), strings.Join(etagDiff(prev.Site, res.Site), " "); got != exp {
+		if got, exp := strings.Join(info.Invalidated, " "), strings.Join(changedPaths(prev.Site, res.Site, pageETag), " "); got != exp {
 			t.Errorf("step %d (%s): Invalidated [%s], ETag diff [%s]", step, what, got, exp)
+		}
+		if got, exp := strings.Join(info.Invalidated, " "), strings.Join(changedPaths(prev.Site, res.Site, pageHTML), " "); got != exp {
+			t.Errorf("step %d (%s): Invalidated [%s], bytes diff [%s]", step, what, got, exp)
 		}
 		prev = res
 	}

@@ -688,10 +688,6 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 		b.Run(fmt.Sprintf("%s-%darticles", mode, n), func(b *testing.B) {
 			data := workload.Articles(n, 1997)
 			cb := buildSpec(b, spec, data)
-			// This benchmark measures the query-re-evaluation (selective)
-			// pipeline; BenchmarkIncrementalEval measures the differential
-			// fast path that normally supersedes it.
-			cb.SetDifferential(false)
 			prev, err := cb.Build()
 			if err != nil {
 				b.Fatal(err)
@@ -738,14 +734,14 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalEval measures the differential evaluation fast
-// path: touch one publication's title on an N-object site and rebuild
-// through the materialized binding relations (no query re-evaluation
-// at all), against a full from-scratch build of the same site. The
-// differential arm reports tuples retained vs recomputed and pages
-// rendered vs reused. The partitioned shape is link-structured; the
-// bib shape documents embed-heavy sites, where one touch re-renders an
-// O(site) page. Snapshot: BENCH_incremental_eval.json.
+// BenchmarkIncrementalEval measures an incremental rebuild at scale:
+// touch one publication's title on an N-object site and Rebuild (the
+// queries re-evaluate in full, the site graphs are diffed by name and
+// only the touched cone re-renders), against a full from-scratch build
+// of the same site. The selective arm reports pages rendered vs
+// reused. The partitioned shape is link-structured; the bib shape
+// documents embed-heavy sites, where one touch re-renders an O(site)
+// page. Snapshot: BENCH_incremental_eval.json.
 func BenchmarkIncrementalEval(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -757,7 +753,7 @@ func BenchmarkIncrementalEval(b *testing.B) {
 	for _, shape := range shapes {
 		spec := shape.spec
 		for _, n := range []int{1000, 10000} {
-			for _, mode := range []string{"full", "differential"} {
+			for _, mode := range []string{"full", "selective"} {
 				b.Run(fmt.Sprintf("%s-%s-%dpubs", shape.name, mode, n), func(b *testing.B) {
 					data := workload.Bibliography(n, 1997)
 					cb := buildSpec(b, spec, data)
@@ -777,7 +773,7 @@ func BenchmarkIncrementalEval(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					var retained, recomputed, rendered, reused float64
+					var rendered, reused float64
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
@@ -793,18 +789,14 @@ func BenchmarkIncrementalEval(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						if res.Incremental.Mode != "differential" {
-							b.Fatalf("rebuild mode %s, want differential", res.Incremental.Mode)
+						if res.Incremental.Mode != "selective" {
+							b.Fatalf("rebuild mode %s, want selective", res.Incremental.Mode)
 						}
-						retained = float64(res.Incremental.Eval.RowsRetained)
-						recomputed = float64(res.Incremental.Eval.RowsRechecked)
 						rendered = float64(res.Incremental.Site.Rendered)
 						reused = float64(res.Incremental.Site.Reused)
 						prev = res
 					}
-					if mode == "differential" {
-						b.ReportMetric(retained, "tuples-retained")
-						b.ReportMetric(recomputed, "tuples-recomputed")
+					if mode == "selective" {
 						b.ReportMetric(rendered, "rendered-pages")
 						b.ReportMetric(reused, "reused-pages")
 					}
@@ -1121,7 +1113,6 @@ func BenchmarkLedgerOverhead(b *testing.B) {
 	spec := workload.ArticleSpec(false)
 	data := workload.Articles(n, 1997)
 	cb := buildSpec(b, spec, data)
-	cb.SetDifferential(false)
 	prev, err := cb.Build()
 	if err != nil {
 		b.Fatal(err)

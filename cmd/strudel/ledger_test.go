@@ -248,7 +248,7 @@ func TestServeLedgerCycle(t *testing.T) {
 // snapshot carrying the new build/edge/last-build sections.
 func TestTopRendersBuildAndEdge(t *testing.T) {
 	e := ledger.Entry{
-		Seq: 7, BuildID: "build-0007", Trigger: "interval", Mode: "differential",
+		Seq: 7, BuildID: "build-0007", Trigger: "interval", Mode: "selective",
 		Pages: ledger.PageRecord{Total: 10, Rendered: 2, Reused: 8}, ETagChurn: 2,
 		TotalMs:   12.5,
 		Freshness: &ledger.Freshness{PropagationSeconds: 0.042},
@@ -268,7 +268,7 @@ func TestTopRendersBuildAndEdge(t *testing.T) {
 	frame := out.String()
 	for _, want := range []string{
 		"build  build-0007",
-		"interval/differential",
+		"interval/selective",
 		"2/10 pages rendered (8 reused)",
 		"propagated 0.042s",
 		"edge   static: 100 requests, 70.0% hit (40 hot, 30 304)",

@@ -1009,7 +1009,7 @@ func cmdStats(args []string) error {
 	if *trace {
 		fmt.Printf("build trace:\n%s", res.Trace.Summary())
 	}
-	fmt.Printf("site schema:\n%s", res.Schema.String())
+	fmt.Print(res.Schema.String())
 	return writeChromeTrace(res.Trace, *traceOut)
 }
 

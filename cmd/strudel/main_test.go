@@ -104,8 +104,22 @@ func TestCmdBuildWritesSite(t *testing.T) {
 
 func TestCmdStats(t *testing.T) {
 	dir := writeTestSite(t)
-	if err := cmdStats([]string{"-manifest", filepath.Join(dir, "site.manifest")}); err != nil {
-		t.Fatal(err)
+	out := captureStdout(t, func() error {
+		return cmdStats([]string{"-manifest", filepath.Join(dir, "site.manifest")})
+	})
+	// The schema prints once, under its own "site schema: N functions,
+	// M edges" header.
+	headers := 0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "site schema:") {
+			headers++
+			if !strings.Contains(line, "functions") {
+				t.Errorf("schema header %q does not count functions", line)
+			}
+		}
+	}
+	if headers != 1 {
+		t.Errorf("stats printed %d \"site schema:\" lines, want 1:\n%s", headers, out)
 	}
 }
 

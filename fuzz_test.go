@@ -7,8 +7,6 @@ package strudel_test
 //	go test -run '^$' -fuzz FuzzStruQLParse -fuzztime 60s .
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -98,162 +96,6 @@ func FuzzDataDefParse(f *testing.F) {
 			if !strings.Contains(err.Error(), "parse") && !strings.Contains(err.Error(), ":") {
 				t.Fatalf("ParseInto rejects what Parse accepts: %v", err)
 			}
-		}
-	})
-}
-
-// fuzzEditGraph interprets a byte string as an edit script over a
-// bibliography-shaped graph: triples of (kind, selector, value) bytes.
-// Deterministic, and total — every byte string is a valid script.
-func fuzzEditGraph(g *graph.Graph, edits []byte) {
-	for i := 0; i+2 < len(edits); i += 3 {
-		kind, sel, val := edits[i]%6, int(edits[i+1]), edits[i+2]
-		pubs := g.Collection("Publications")
-		if len(pubs) == 0 {
-			return
-		}
-		v := pubs[sel%len(pubs)]
-		oid := v.OID()
-		switch kind {
-		case 0: // retitle
-			if old, ok := g.First(oid, "title"); ok {
-				g.RemoveEdge(oid, "title", old)
-			}
-			g.AddEdge(oid, "title", graph.Str("Fuzzed "+string(rune('a'+val%26))))
-		case 1: // drop an attribute edge
-			out := g.Out(oid)
-			if len(out) > 0 {
-				e := out[int(val)%len(out)]
-				g.RemoveEdge(oid, e.Label, e.To)
-			}
-		case 2: // extra category
-			g.AddEdge(oid, "category", graph.Str("Topic "+string(rune('A'+val%4))))
-		case 3: // new publication
-			name := "pub_fuzz" + string(rune('a'+val%26)) + string(rune('a'+sel%26))
-			if _, exists := g.NodeByName(name); exists {
-				continue
-			}
-			id := g.NewNode(name)
-			g.AddToCollection("Publications", graph.NodeValue(id))
-			g.AddEdge(id, "title", graph.Str("Fuzz work"))
-			g.AddEdge(id, "year", graph.Int(int64(1990+int(val)%8)))
-		case 4: // remove a publication
-			if len(pubs) > 2 {
-				g.RemoveNode(oid)
-			}
-		case 5: // remove from the collection, keeping the node
-			g.RemoveFromCollection("Publications", v)
-		}
-	}
-}
-
-// fuzzFingerprint renders a query output graph structurally: named
-// nodes (sorted) with their out-edges, node targets resolved through
-// names so two evaluations into different siblings compare equal.
-func fuzzFingerprint(g *graph.Graph) string {
-	render := func(v graph.Value) string {
-		if v.IsNode() {
-			if n := g.NodeName(v.OID()); n != "" {
-				return "@" + n
-			}
-			return "@?"
-		}
-		return v.String()
-	}
-	var names []string
-	for _, id := range g.Nodes() {
-		if n := g.NodeName(id); n != "" {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, n := range names {
-		id, _ := g.NodeByName(n)
-		sb.WriteString(n)
-		sb.WriteByte('{')
-		lines := []string{}
-		for _, e := range g.Out(id) {
-			lines = append(lines, e.Label+"->"+render(e.To))
-		}
-		sort.Strings(lines)
-		sb.WriteString(strings.Join(lines, ";"))
-		sb.WriteString("}\n")
-	}
-	for _, c := range g.Collections() {
-		sb.WriteString(c)
-		sb.WriteByte('[')
-		for _, v := range g.Collection(c) {
-			sb.WriteString(render(v))
-			sb.WriteByte(',')
-		}
-		sb.WriteString("]\n")
-	}
-	return sb.String()
-}
-
-// FuzzDifferentialEval drives differential view maintenance with
-// fuzzed queries and fuzzed edit scripts: evaluate the query over a
-// small corpus with captures, prime a materialization, apply the
-// fuzzed delta through the journal, then cross-check both the binding
-// relations and the output structure against a full re-evaluation of
-// the edited graph. An Apply that returns an error is a legitimate
-// fallback (the core layer would do a full rebuild); a panic or a
-// silent divergence is the bug being hunted.
-func FuzzDifferentialEval(f *testing.F) {
-	queries := []string{
-		workload.BibliographySpec().Query,
-		workload.ArticleSpec(false).Query,
-		workload.OrgQuery,
-		homepageDiffQuery,
-		textonlyDiffQuery,
-		`WHERE Publications(x), x -> ("contact")* -> y CREATE P(x) LINK P(x) -> "c" -> y COLLECT Ps(P(x)) `,
-		`WHERE Publications(x), x -> "year" -> y CREATE Y(y) LINK Y(y) -> "n" -> COUNT(x) COLLECT Years(Y(y))`,
-	}
-	for _, q := range queries {
-		f.Add(q, []byte{0, 1, 2, 3, 4, 5, 9, 0, 1})
-		f.Add(q, []byte{4, 0, 0, 3, 7, 7, 0, 2, 2, 5, 1, 0})
-	}
-	f.Fuzz(func(t *testing.T, qsrc string, edits []byte) {
-		q, err := struql.Parse(qsrc)
-		if err != nil {
-			return
-		}
-		g := workload.Bibliography(6, 3)
-		out := g.NewSibling("site")
-		cap := struql.NewCapture()
-		if _, err := struql.Eval(q, g, &struql.Options{Output: out, Capture: cap, Workers: 1}); err != nil {
-			return
-		}
-		mat, err := struql.NewMaterialized([]*struql.Query{q}, g, out, nil, []*struql.Capture{cap}, 0)
-		if err != nil {
-			return
-		}
-		log := graph.NewChangeLog()
-		g.Watch(log)
-		fuzzEditGraph(g, edits)
-		ops, ok := log.Take()
-		if !ok {
-			return
-		}
-		if _, err := mat.Apply(ops); err != nil {
-			return // fallback-to-full territory, not a maintenance bug
-		}
-		// Full re-evaluation of the edited graph as the oracle.
-		ref := g.NewSibling("ref")
-		rcap := struql.NewCapture()
-		if _, err := struql.Eval(q, g, &struql.Options{Output: ref, Capture: rcap, Workers: 1}); err != nil {
-			t.Fatalf("maintained eval survived but full re-eval fails: %v", err)
-		}
-		rmat, err := struql.NewMaterialized([]*struql.Query{q}, g, ref, nil, []*struql.Capture{rcap}, 0)
-		if err != nil {
-			t.Fatalf("reference materialization: %v", err)
-		}
-		if got, want := fmt.Sprint(mat.BindingDump()), fmt.Sprint(rmat.BindingDump()); got != want {
-			t.Fatalf("binding relations diverged from full re-evaluation\nmaintained: %s\nfull:       %s", got, want)
-		}
-		if got, want := fuzzFingerprint(out), fuzzFingerprint(ref); got != want {
-			t.Fatalf("output graph diverged from full re-evaluation\nmaintained:\n%s\nfull:\n%s", got, want)
 		}
 	})
 }

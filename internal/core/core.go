@@ -51,26 +51,21 @@ type Builder struct {
 	telem       *telemetry.Registry
 
 	// Incremental state (dataGraph mode only): the journal of in-place
-	// data-graph mutations, the site whose build last drained it (its
-	// baseline: nil until a Build or Rebuild succeeds after the drain),
-	// and the materialized binding relations the differential branch
-	// maintains, primed by the last full evaluation.
-	differential bool
-	journal      *graph.ChangeLog
-	base         *sitegen.Site
-	mat          *struql.Materialized
+	// data-graph mutations and the site whose build last drained it (its
+	// baseline: nil until a Build or Rebuild succeeds after the drain).
+	journal *graph.ChangeLog
+	base    *sitegen.Site
 }
 
 // NewBuilder creates a builder over a memory-only repository.
 func NewBuilder(name string) *Builder {
 	repo := repository.New("")
 	return &Builder{
-		name:         name,
-		repo:         repo,
-		med:          mediator.New(repo, "DataGraph"),
-		templates:    map[string]*template.Template{},
-		embedOnly:    map[string]bool{},
-		differential: true,
+		name:      name,
+		repo:      repo,
+		med:       mediator.New(repo, "DataGraph"),
+		templates: map[string]*template.Template{},
+		embedOnly: map[string]bool{},
 	}
 }
 
@@ -127,34 +122,9 @@ func (b *Builder) SetDataGraph(g *graph.Graph) {
 		b.dataGraph.Unwatch(b.journal)
 	}
 	b.dataGraph = g
-	b.mat, b.base = nil, nil
+	b.base = nil
 	b.journal = graph.NewChangeLog()
 	g.Watch(b.journal)
-}
-
-// SetDifferential toggles differential site maintenance (on by
-// default). When on, a full evaluation over a SetDataGraph graph
-// primes materialized binding relations, and Rebuild propagates the
-// journaled mutations through them instead of re-evaluating the
-// site-definition queries — falling back to re-evaluation whenever the
-// maintained state cannot be trusted.
-func (b *Builder) SetDifferential(on bool) {
-	b.differential = on
-	if !on {
-		b.mat = nil
-	}
-}
-
-// BindingDump renders the maintained binding relations per query
-// block, in from-scratch order, or nil when no materialization is
-// primed. Test and debug surface: two builders over identical data
-// must dump identically, whether the relations were primed by a full
-// build or maintained through deltas.
-func (b *Builder) BindingDump() map[int][]string {
-	if b.mat == nil || !b.mat.Valid() {
-		return nil
-	}
-	return b.mat.BindingDump()
 }
 
 // AddQuery appends a site-definition query. Multiple queries compose:
@@ -166,9 +136,8 @@ func (b *Builder) AddQuery(src string) error {
 		return err
 	}
 	b.queries = append(b.queries, q)
-	// Any primed materialization or journal baseline describes the old
-	// query set.
-	b.mat, b.base = nil, nil
+	// A journal baseline describes the old query set.
+	b.base = nil
 	return nil
 }
 
@@ -350,7 +319,7 @@ type queryEval struct {
 // profile set, every query carries an EXPLAIN profiler and the
 // per-block plans are returned; a non-nil prov records node provenance.
 func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Pool, profile bool,
-	caps []*struql.Capture, prov *struql.Provenance) (*queryEval, error) {
+	prov *struql.Provenance) (*queryEval, error) {
 	if len(b.queries) == 0 {
 		return nil, fmt.Errorf("core: site %q has no site-definition query", b.name)
 	}
@@ -374,10 +343,6 @@ func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Poo
 			prof = struql.NewProfiler()
 		}
 		opts.Profiler = prof
-		opts.Capture = nil
-		if caps != nil {
-			opts.Capture = caps[i]
-		}
 		var qs *telemetry.Span
 		if sp != nil {
 			qs = sp.Child(fmt.Sprintf("query[%d]", i))
@@ -401,41 +366,6 @@ func (b *Builder) evalQueries(data *graph.Graph, sp *telemetry.Span, p *pool.Poo
 		})
 	}
 	return qe, nil
-}
-
-// canDifferential reports whether a full evaluation should prime
-// differential state: an explicit data graph whose journal is watched,
-// with the stock interpreter (the materialized plans replicate its
-// greedy ordering).
-func (b *Builder) canDifferential() bool {
-	return b.differential && b.dataGraph != nil && !b.optimize && len(b.queries) > 0
-}
-
-// captureSet allocates one binding capture per query when the build
-// should prime differential state, else nil.
-func (b *Builder) captureSet() []*struql.Capture {
-	if !b.canDifferential() {
-		return nil
-	}
-	caps := make([]*struql.Capture, len(b.queries))
-	for i := range caps {
-		caps[i] = struql.NewCapture()
-	}
-	return caps
-}
-
-// primeDifferential rebuilds the materialized binding relations from a
-// completed full evaluation.
-func (b *Builder) primeDifferential(data, site *graph.Graph, caps []*struql.Capture) {
-	b.mat = nil
-	if caps == nil {
-		return
-	}
-	mat, err := struql.NewMaterialized(b.queries, data, site, b.Registry(), caps, 0)
-	if err != nil {
-		return // differential stays off until the next full build
-	}
-	b.mat = mat
 }
 
 // siteSchema merges the per-query schemas.
@@ -476,7 +406,7 @@ func (b *Builder) Build() (*Result, error) {
 		b.journal.Take()
 		b.base = nil
 	}
-	return b.rebuild(res, nil, nil, nil, "")
+	return b.rebuild(res, nil, nil, "")
 }
 
 // BuildDynamic prepares click-time evaluation instead of full

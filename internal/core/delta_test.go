@@ -41,10 +41,6 @@ func TestRebuildWithDeltaSelective(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := bibBuilder(t, n)
 	b.SetTelemetry(reg)
-	// Pin the query-re-evaluation path: with differential maintenance on
-	// (the default, covered by TestRebuildWithDeltaDifferential and the
-	// top-level suite) the journal fast path would take over.
-	b.SetDifferential(false)
 	data := workload.Bibliography(n, 42)
 	b.SetDataGraph(data)
 	prev, err := b.Build()
@@ -66,6 +62,9 @@ func TestRebuildWithDeltaSelective(t *testing.T) {
 	}
 	if info.Site.Rendered >= len(res.Site.Pages) {
 		t.Fatalf("rendered %d of %d pages — not selective", info.Site.Rendered, len(res.Site.Pages))
+	}
+	if d := info.Data; d == nil || len(d.ChangedObjects) != 1 || d.ChangedObjects[0] != "pub7" {
+		t.Errorf("rebuild keyed on data delta %+v, want pub7's edit", d)
 	}
 
 	// Guard: every re-rendered page's class lies in the schema
@@ -121,60 +120,11 @@ func TestRebuildWithDeltaSelective(t *testing.T) {
 	}
 }
 
-// TestRebuildWithDeltaDifferential: with a data graph set and a prior
-// full build, the default rebuild path is the differential one — the
-// journaled mutation propagates through the materialized bindings, no
-// query re-evaluation, and the pages still match a scratch build.
-func TestRebuildWithDeltaDifferential(t *testing.T) {
-	const n = 30
-	b := bibBuilder(t, n)
-	data := workload.Bibliography(n, 42)
-	b.SetDataGraph(data)
-	prev, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	retitle(t, data, "pub7", "A Fresh Title")
-	res, err := b.Rebuild(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := res.Incremental
-	if info == nil || info.Mode != "differential" {
-		t.Fatalf("incremental info = %+v, want differential mode", info)
-	}
-	if info.Eval == nil || info.Eval.RowsRetained == 0 {
-		t.Fatalf("differential rebuild retained no tuples: %+v", info.Eval)
-	}
-	if info.Site.Reused == 0 {
-		t.Fatal("a one-object touch must reuse pages")
-	}
-	if d := info.Data; d == nil || len(d.ChangedObjects) != 1 || d.ChangedObjects[0] != "pub7" {
-		t.Errorf("differential rebuild keyed on data delta %+v, want pub7's edit", d)
-	}
-	fresh := bibBuilder(t, n)
-	freshData := workload.Bibliography(n, 42)
-	retitle(t, freshData, "pub7", "A Fresh Title")
-	fresh.SetDataGraph(freshData)
-	want, err := fresh.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Site.Pages) != len(want.Site.Pages) {
-		t.Fatalf("differential site has %d pages, full build has %d", len(res.Site.Pages), len(want.Site.Pages))
-	}
-	for path, wp := range want.Site.Pages {
-		gp := res.Site.Pages[path]
-		if gp == nil || gp.HTML != wp.HTML {
-			t.Errorf("%s differs from full rebuild", path)
-		}
-	}
-}
-
 // TestDifferentialCollisionReevaluates: a path collision that appears
-// in the maintained site graph sends the rebuild back to a full
-// re-evaluation, because a from-scratch build may order the collision
-// suffixes differently, and the summary names the cause.
+// in the re-evaluated site graph sends the rebuild to a full render,
+// because name-keyed adoption may order the collision suffixes
+// differently from a from-scratch build, and the summary names the
+// cause.
 func TestDifferentialCollisionReevaluates(t *testing.T) {
 	const query = `INPUT D
 WHERE Items(x), x -> "title" -> t
@@ -206,9 +156,6 @@ OUTPUT Site`
 	prev, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b.BindingDump() == nil {
-		t.Fatal("the build did not prime differential maintenance")
 	}
 	item(data, "a b", "space")
 	res, err := b.Rebuild(prev)
@@ -696,60 +643,57 @@ func TestDebugEvaluationKeepsDeltaBaseline(t *testing.T) {
 // constraint violation records it on its own verify span, as a build
 // does: the violations attribute and one violation event per failure.
 func TestRebuildVerifySpanRecordsViolations(t *testing.T) {
-	for _, differential := range []bool{true, false} {
-		b := bibBuilder(t, 6)
-		b.SetDifferential(differential)
-		b.AddConstraint(schema.MustLink{From: "RootPage", Label: "YearPage", To: "YearPage"})
-		prev, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(prev.Violations) != 0 {
-			t.Fatalf("initial build violates: %v", prev.Violations)
-		}
-		// With no year left on any publication, the root page links to no
-		// year page.
-		data := prev.DataGraph
-		for _, pub := range data.Collection("Publications") {
-			for {
-				v, ok := data.First(pub.OID(), "year")
-				if !ok {
-					break
-				}
-				data.RemoveEdge(pub.OID(), "year", v)
+	b := bibBuilder(t, 6)
+	b.AddConstraint(schema.MustLink{From: "RootPage", Label: "YearPage", To: "YearPage"})
+	prev, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prev.Violations) != 0 {
+		t.Fatalf("initial build violates: %v", prev.Violations)
+	}
+	// With no year left on any publication, the root page links to no
+	// year page.
+	data := prev.DataGraph
+	for _, pub := range data.Collection("Publications") {
+		for {
+			v, ok := data.First(pub.OID(), "year")
+			if !ok {
+				break
 			}
+			data.RemoveEdge(pub.OID(), "year", v)
 		}
-		res, err := b.Rebuild(prev)
-		if err != nil {
-			t.Fatal(err)
+	}
+	res, err := b.Rebuild(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) == 0 {
+		t.Fatalf("%s introduced no violation", res.Incremental.Summary())
+	}
+	var verify *telemetry.Span
+	for _, sp := range res.Trace.Root().Children() {
+		if sp.Name == "verify" {
+			verify = sp
 		}
-		if len(res.Violations) == 0 {
-			t.Fatalf("differential=%v: %s introduced no violation", differential, res.Incremental.Summary())
+	}
+	if verify == nil {
+		t.Fatal("rebuild trace has no verify span")
+	}
+	var attr any
+	for _, a := range verify.Attrs() {
+		if a.Key == "violations" {
+			attr = a.Value
 		}
-		var verify *telemetry.Span
-		for _, sp := range res.Trace.Root().Children() {
-			if sp.Name == "verify" {
-				verify = sp
-			}
+	}
+	events := 0
+	for _, ev := range verify.Events() {
+		if ev.Name == "violation" {
+			events++
 		}
-		if verify == nil {
-			t.Fatalf("differential=%v: rebuild trace has no verify span", differential)
-		}
-		var attr any
-		for _, a := range verify.Attrs() {
-			if a.Key == "violations" {
-				attr = a.Value
-			}
-		}
-		events := 0
-		for _, ev := range verify.Events() {
-			if ev.Name == "violation" {
-				events++
-			}
-		}
-		if attr != len(res.Violations) || events != len(res.Violations) {
-			t.Errorf("differential=%v (%s): verify span has violations=%v and %d violation events, want %d of each",
-				differential, res.Incremental.Mode, attr, events, len(res.Violations))
-		}
+	}
+	if attr != len(res.Violations) || events != len(res.Violations) {
+		t.Errorf("%s: verify span has violations=%v and %d violation events, want %d of each",
+			res.Incremental.Mode, attr, events, len(res.Violations))
 	}
 }

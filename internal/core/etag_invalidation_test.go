@@ -13,7 +13,6 @@ import (
 func TestRebuildReportsInvalidatedPages(t *testing.T) {
 	const n = 30
 	b := bibBuilder(t, n)
-	b.SetDifferential(false)
 	data := workload.Bibliography(n, 42)
 	b.SetDataGraph(data)
 	prev, err := b.Build()

@@ -24,10 +24,6 @@ type QueryExplain struct {
 	Bindings int              `json:"bindings"`
 	NewNodes int              `json:"new_nodes"`
 	Plan     *struql.PlanNode `json:"plan"`
-	// Blocks reports, per query block, whether differential
-	// maintenance applies on incremental rebuilds or the block falls
-	// back to a full re-bind (and why).
-	Blocks []struql.BlockMode `json:"blocks,omitempty"`
 }
 
 // Explain is the profiled evaluation of a site's whole query stage.
@@ -46,13 +42,10 @@ type Explain struct {
 // would make the next incremental rebuild diff against data the site
 // never rendered).
 func (b *Builder) ExplainData(data *graph.Graph) (*Explain, error) {
-	qe, err := b.evalQueries(data, nil, b.buildPool(), true, nil, nil)
+	qe, err := b.evalQueries(data, nil, b.buildPool(), true, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Static maintenance-mode classification; best-effort (a query the
-	// differential layer cannot even plan just omits the block lines).
-	modes, _ := struql.ClassifyBlocks(b.queries, data, b.Registry())
 	ds := data.Stats()
 	ex := &Explain{
 		Site:      b.name,
@@ -66,19 +59,12 @@ func (b *Builder) ExplainData(data *graph.Graph) (*Explain, error) {
 		if b.queries[i].Source != "" {
 			src = b.queries[i].Source
 		}
-		var blocks []struql.BlockMode
-		for _, bm := range modes {
-			if bm.Query == i {
-				blocks = append(blocks, bm)
-			}
-		}
 		ex.Queries = append(ex.Queries, QueryExplain{
 			Index:    i,
 			Source:   src,
 			Bindings: qr.bindings,
 			NewNodes: qr.newNodes,
 			Plan:     qr.plan,
-			Blocks:   blocks,
 		})
 	}
 	return ex, nil
@@ -110,7 +96,7 @@ type Provenance struct {
 // in place: take a result's provenance before the next edit.
 func (b *Builder) Provenance(res *Result) (*Provenance, error) {
 	rec := struql.NewProvenance()
-	qe, err := b.evalQueries(res.DataGraph, nil, b.buildPool(), false, nil, rec)
+	qe, err := b.evalQueries(res.DataGraph, nil, b.buildPool(), false, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -160,13 +146,6 @@ func (e *Explain) WriteText(w io.Writer) {
 			q.Index, q.Bindings, q.NewNodes)
 		if q.Plan != nil {
 			q.Plan.WriteText(w)
-		}
-		for _, bm := range q.Blocks {
-			if bm.Mode == "differential" {
-				fmt.Fprintf(w, "  block %d: differential maintenance\n", bm.Block)
-			} else {
-				fmt.Fprintf(w, "  block %d: full re-bind on change (%s)\n", bm.Block, bm.Reason)
-			}
 		}
 	}
 }

@@ -2,16 +2,13 @@
 // kept current over changing data. Rebuild takes the data change since
 // the previous result — the mediator's warehouse delta, or the change
 // journal of a graph set with SetDataGraph — and runs it through one
-// pipeline. Only the query phase forks: with differential evaluation
-// primed, the journaled ops propagate through the materialized binding
-// relations and the site graph is maintained in place; otherwise the
-// site-definition queries re-run in full and the new site graph is
-// diffed against the previous one. Either way, only the pages in the
-// reverse-reachability cone of the touched site objects re-render; the
-// rest are adopted from the previous site by name. A change the
-// schema cannot see is a noop, and a rebuild with no usable change
-// renders in full and names the cause. A full Build is the pipeline's
-// first step: the same body with no previous result.
+// pipeline: the site-definition queries re-run in full, the new site
+// graph is diffed against the previous one by name, and only the pages
+// in the reverse-reachability cone of the touched site objects
+// re-render; the rest are adopted from the previous site by name. A
+// change the schema cannot see is a noop, and a rebuild with no usable
+// change renders in full and names the cause. A full Build is the
+// pipeline's first step: the same body with no previous result.
 package core
 
 import (
@@ -34,10 +31,8 @@ import (
 type RebuildInfo struct {
 	// Mode is "noop" (nothing the site schema can see changed, the
 	// previous result is reused), "selective" (queries re-evaluated in
-	// full, only the touched cone re-rendered), "differential" (the
-	// journaled mutations were propagated through materialized binding
-	// relations; the queries were not re-evaluated at all) or "full"
-	// (every page re-rendered; Site.Reason names the cause).
+	// full, only the touched cone re-rendered) or "full" (every page
+	// re-rendered; Site.Reason names the cause).
 	Mode string
 	// Data is the data-graph delta the rebuild keyed on: the mediator's
 	// warehouse delta, or the drained change journal as graph.OpsDelta.
@@ -48,10 +43,6 @@ type RebuildInfo struct {
 	Impact *schema.Impact
 	// Site reports page-level reuse (nil in noop mode).
 	Site *sitegen.DeltaStats
-	// Eval reports what differential evaluation did, when the
-	// differential branch ran: tuples retained vs recomputed, blocks
-	// maintained vs re-bound, output lists repaired.
-	Eval *struql.MatStats
 	// Invalidated lists the paths whose ETag, and so whose bytes,
 	// changed relative to the previous build, sorted (new pages
 	// included, vanished pages not) — exactly the URLs HTTP caches
@@ -82,16 +73,6 @@ func (ri *RebuildInfo) Summary() string {
 	switch ri.Mode {
 	case "noop":
 		return "rebuild: noop (data unchanged)"
-	case "differential":
-		s := "rebuild: differential"
-		if ri.Eval != nil {
-			s += fmt.Sprintf(", %d tuples retained, %d recomputed, %d added, %d removed",
-				ri.Eval.RowsRetained, ri.Eval.RowsRechecked, ri.Eval.RowsAdded, ri.Eval.RowsRemoved)
-		}
-		if ri.Site != nil {
-			s += fmt.Sprintf(", %d rendered, %d reused", ri.Site.Rendered, ri.Site.Reused)
-		}
-		return s
 	case "full":
 		reason := "no baseline"
 		if ri.Site != nil && ri.Site.Reason != "" {
@@ -124,7 +105,7 @@ func (b *Builder) deltaPages(action string) *telemetry.Counter {
 func (b *Builder) countRebuild(mode string) {
 	if b.telem != nil {
 		b.telem.Counter("strudel_delta_rebuilds_total",
-			"Incremental rebuilds, by mode (noop, selective, differential, full).",
+			"Incremental rebuilds, by mode (noop, selective, full).",
 			"mode", mode).Inc()
 	}
 }
@@ -164,7 +145,7 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 			delta = graph.OpsDelta(ops)
 		}
 		b.base = nil // the journal is drained: only a success re-anchors it
-		return b.rebuild(b.rebuildResult(b.dataGraph, nil), prev, delta, ops, cause)
+		return b.rebuild(b.rebuildResult(b.dataGraph, nil), prev, delta, cause)
 	}
 	// Mediation runs before rebuild opens the rebuild trace, so it is
 	// timed here rather than as a span of it.
@@ -179,7 +160,7 @@ func (b *Builder) Rebuild(prev *Result) (*Result, error) {
 	if base != prev.DataGraph || delta == nil {
 		delta, cause = nil, "no delta baseline"
 	}
-	res, err := b.rebuild(b.rebuildResult(data, report), prev, delta, nil, cause)
+	res, err := b.rebuild(b.rebuildResult(data, report), prev, delta, cause)
 	if res != nil {
 		res.Stats.MediationTime, res.Stats.MediationAlloc = medTime, medAlloc
 	}
@@ -191,48 +172,16 @@ func (b *Builder) rebuildResult(data *graph.Graph, report *mediator.RefreshRepor
 	return &Result{Trace: telemetry.NewTrace("rebuild " + b.name), DataGraph: data, Refresh: report}
 }
 
-// countDiff feeds differential-apply telemetry.
-func (b *Builder) countDiff(st *struql.MatStats) {
-	if b.telem == nil {
-		return
-	}
-	tuples := func(kind string, n int) {
-		if n > 0 {
-			b.telem.Counter("strudel_diff_tuples_total",
-				"Binding tuples processed by differential evaluation, by outcome.",
-				"kind", kind).Add(n)
-		}
-	}
-	tuples("retained", st.RowsRetained)
-	tuples("recomputed", st.RowsRechecked)
-	tuples("added", st.RowsAdded)
-	tuples("removed", st.RowsRemoved)
-	blocks := func(mode string, n int) {
-		if n > 0 {
-			b.telem.Counter("strudel_diff_blocks_total",
-				"Query blocks touched by differential evaluation, by maintenance mode.",
-				"mode", mode).Add(n)
-		}
-	}
-	blocks("differential", st.BlocksDifferential)
-	blocks("fallback", st.BlocksFallback)
-	blocks("rebound", st.BlocksRebound)
-}
-
 // rebuild is the one build pipeline. res holds the opened trace, the
 // data graph and the refresh report; prev is the result to bring up to
 // date, or nil for a full build, which renders every page and reports
-// no RebuildInfo. delta is the data change since prev, and ops the same
-// change as journal entries (SetDataGraph only); a non-empty cause
-// names why the rebuild must re-evaluate and render in full instead.
-// Only the query phase forks: with differential evaluation primed, ops
-// propagate through the materialized binding relations and prev's site
-// graph is maintained in place; otherwise the queries re-run in full
-// and the new site graph is diffed against prev's. The pages in the
-// reverse-reachability cone of the touched site objects re-render; the
-// rest are adopted. A success under SetDataGraph is the journal's new
-// baseline.
-func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op, cause string) (out *Result, err error) {
+// no RebuildInfo. delta is the data change since prev; a non-empty
+// cause names why the rebuild must render in full instead. The queries
+// re-run in full and the new site graph is diffed against prev's by
+// name: the pages in the reverse-reachability cone of the touched site
+// objects re-render, and the rest are adopted. A success under
+// SetDataGraph is the journal's new baseline.
+func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, cause string) (out *Result, err error) {
 	tr, data := res.Trace, res.DataGraph
 	pl := b.buildPool()
 	a0 := telemetry.AllocBytes()
@@ -249,7 +198,7 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op,
 	tr.Root().SetAttr("workers", pl.Workers())
 
 	// NumNodes/NumEdges, not Stats(): the label census walks every edge,
-	// which would put an O(site) scan on the single-digit-ms fast path.
+	// which would put an O(data) scan on the noop path.
 	res.Stats.DataNodes, res.Stats.DataEdges = data.NumNodes(), data.NumEdges()
 	sch := b.siteSchema()
 	res.Schema = sch
@@ -259,14 +208,10 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op,
 		info = &RebuildInfo{Data: delta, Impact: schema.Analyze(sch, delta)}
 		res.Incremental, prevSite = info, prev.Site
 	}
-	// Collision suffixes depend on OID enumeration order, which in-place
-	// maintenance does not reproduce.
-	differential := prev != nil && cause == "" && b.canDifferential() && b.mat.Valid() && prev.Site.Collisions == 0
 
 	// Nothing the schema can see changed: the site graph — a function of
-	// the data graph and the queries — is provably the previous one. The
-	// materialization must still see every journaled op.
-	if prev != nil && cause == "" && info.Impact.Empty() && (!differential || len(ops) == 0) {
+	// the data graph and the queries — is provably the previous one.
+	if prev != nil && cause == "" && info.Impact.Empty() {
 		info.Mode = "noop"
 		res.SiteGraph, res.Site = prev.SiteGraph, prev.Site
 		res.Violations, res.DomainWarnings = prev.Violations, prev.DomainWarnings
@@ -279,34 +224,13 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op,
 		return res, nil
 	}
 
-	// The query phase: maintain the site graph, or re-evaluate it.
 	qsp := tr.Root().Child("query")
-	var site *graph.Graph
-	var touched []graph.OID
-	var caps []*struql.Capture
-	if differential {
-		st, err := b.mat.Apply(ops)
-		if err != nil {
-			// The apply died partway: prev's site graph may hold a partial
-			// mutation, so none of it can back page adoption.
-			b.mat = nil
-			differential, cause = false, "differential apply aborted"
-		} else {
-			b.countDiff(st)
-			info.Eval = st
-			site, touched = prev.SiteGraph, st.Touched
-			res.Stats.Bindings = st.RowsRetained + st.RowsAdded
-		}
+	qe, err := b.evalQueries(data, qsp, pl, false, nil)
+	if err != nil {
+		return nil, err
 	}
-	if !differential {
-		caps = b.captureSet()
-		qe, err := b.evalQueries(data, qsp, pl, false, caps, nil)
-		if err != nil {
-			return nil, err
-		}
-		site = qe.site
-		res.Stats.Bindings = qe.bindings
-	}
+	site := qe.site
+	res.Stats.Bindings = qe.bindings
 	qsp.SetAttr("bindings", res.Stats.Bindings)
 	qsp.Finish()
 	res.Stats.QueryTime = qsp.Duration()
@@ -332,17 +256,15 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op,
 	// A nil cone asks the generator for a full render.
 	var cone map[graph.OID]struct{}
 	if prev != nil && cause == "" {
-		if !differential {
-			// Diff compares edges and memberships by name, so an object
-			// outside the cone of the added and changed keys kept its
-			// name, template and path: the cone contract holds for a
-			// re-evaluated site graph too. Every key Diff reports for site
-			// resolves in it.
-			d := graph.Diff(prev.SiteGraph, site)
-			for _, key := range append(d.AddedObjects, d.ChangedObjects...) {
-				if oid, ok := site.ResolveKey(key); ok {
-					touched = append(touched, oid)
-				}
+		// Diff compares edges and memberships by name, so an object
+		// outside the cone of the added and changed keys kept its name,
+		// template and path: the cone contract holds for a re-evaluated
+		// site graph. Every key Diff reports for site resolves in it.
+		d := graph.Diff(prev.SiteGraph, site)
+		var touched []graph.OID
+		for _, key := range append(d.AddedObjects, d.ChangedObjects...) {
+			if oid, ok := site.ResolveKey(key); ok {
+				touched = append(touched, oid)
 			}
 		}
 		cone = site.ReverseReachable(touched)
@@ -355,8 +277,7 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op,
 		Index:     b.index,
 		Pool:      pl,
 	})
-	htmlSite, dstats, err := gen.Regenerate(context.Background(), prevSite, cone,
-		differential && !info.Eval.Renumbered)
+	htmlSite, dstats, err := gen.Regenerate(context.Background(), prevSite, cone)
 	if err == nil {
 		gsp.SetAttr("rendered", dstats.Rendered)
 		gsp.SetAttr("reused", dstats.Reused)
@@ -367,29 +288,16 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, ops []graph.Op,
 	if err != nil {
 		return nil, err
 	}
-	if differential && htmlSite.Collisions != 0 {
-		// A from-scratch build may assign the new collision suffixes
-		// differently: re-evaluate instead.
-		b.mat = nil
-		return b.rebuild(b.rebuildResult(data, res.Refresh), prev, delta, ops, "path collision")
-	}
 	res.Site = htmlSite
-	if !differential {
-		b.primeDifferential(data, site, caps)
-	}
 	if info != nil {
 		if cause != "" {
 			dstats.Reason = cause
 		}
 		info.Site = dstats
 		info.Invalidated = invalidatedPaths(prev.Site, htmlSite)
-		switch {
-		case dstats.Full:
+		info.Mode = "selective"
+		if dstats.Full {
 			info.Mode = "full"
-		case differential:
-			info.Mode = "differential"
-		default:
-			info.Mode = "selective"
 		}
 		tr.Root().SetAttr("mode", info.Mode)
 		b.countRebuild(info.Mode)

@@ -1,10 +1,11 @@
 // Change logging: a Graph can journal its mutations into attached
-// ChangeLogs, giving incremental consumers (the differential StruQL
-// evaluator, the dynamic-evaluation cache) an exact record of what
-// changed between two points in time — no O(graph) Diff required.
-// Composite mutations (RemoveNode) are journaled as their constituent
-// edge/membership removals followed by the node removal itself, so a
-// consumer can replay the log op by op.
+// ChangeLogs, giving incremental consumers an exact record of what
+// changed between two points in time — no O(graph) Diff required. The
+// site builder drains its journal on every rebuild under SetDataGraph:
+// OpsDelta keys the noop test and the schema impact analysis, and an
+// overflowed journal names a full rebuild's cause. Composite mutations
+// (RemoveNode) are journaled as their constituent edge/membership
+// removals followed by the node removal itself.
 package graph
 
 import (
@@ -96,13 +97,6 @@ func (l *ChangeLog) Take() (ops []Op, ok bool) {
 	ops, ok = l.ops, !l.overflow
 	l.ops, l.overflow = nil, false
 	return ops, ok
-}
-
-// Len reports the number of buffered ops (0 after an overflow).
-func (l *ChangeLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ops)
 }
 
 // Watch attaches a change log to the graph: every subsequent mutation

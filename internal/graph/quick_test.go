@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -186,8 +185,8 @@ func keyByScan(g *Graph, id OID) string {
 
 // mutateRandomly applies n random mutations drawn from every way a
 // node's key can move: names bound to present nodes (aliases), names
-// already taken elsewhere, unnamed nodes, removals that free names,
-// renumbering, plus edge and membership edits.
+// already taken elsewhere, unnamed nodes and removals that free names,
+// plus edge and membership edits.
 func mutateRandomly(g *Graph, rng *rand.Rand, n int) {
 	labels := []string{"a", "b", "title"}
 	var removed []OID
@@ -199,7 +198,7 @@ func mutateRandomly(g *Graph, rng *rand.Rand, n int) {
 		return ids[rng.Intn(len(ids))], true
 	}
 	for i := 0; i < n; i++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(9) {
 		case 0:
 			g.NewNode("")
 		case 1:
@@ -220,32 +219,12 @@ func mutateRandomly(g *Graph, rng *rand.Rand, n int) {
 				removed = append(removed, id)
 			}
 		case 5:
-			if rng.Intn(4) == 0 {
-				var order []string
-				for name := range g.names {
-					if rng.Intn(3) == 0 {
-						order = append(order, name)
-					}
-				}
-				sort.Strings(order)
-				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-				seen := map[OID]bool{}
-				kept := order[:0]
-				for _, name := range order {
-					if id := g.names[name]; !seen[id] {
-						seen[id] = true
-						kept = append(kept, name)
-					}
-				}
-				g.RenumberNodes(kept)
-			}
-		case 6:
 			from, ok1 := pick()
 			to, ok2 := pick()
 			if ok1 && ok2 {
 				g.AddEdge(from, labels[rng.Intn(len(labels))], NodeValue(to))
 			}
-		case 7:
+		case 6:
 			if id, ok := pick(); ok {
 				if out := g.Out(id); len(out) > 0 {
 					e := out[rng.Intn(len(out))]
@@ -254,7 +233,7 @@ func mutateRandomly(g *Graph, rng *rand.Rand, n int) {
 					g.AddEdge(id, labels[rng.Intn(len(labels))], randomAtom(rng))
 				}
 			}
-		case 8:
+		case 7:
 			if id, ok := pick(); ok {
 				g.AddToCollection("C"+string(rune('A'+rng.Intn(3))), NodeValue(id))
 			}

@@ -86,20 +86,6 @@ func FromResult(res *core.Result, trigger string) Entry {
 		if e.Data == nil {
 			e.Data = DeltaSizeOf(info.Data)
 		}
-		if m := info.Eval; m != nil {
-			e.Eval = &EvalRecord{
-				Ops:                m.Ops,
-				RowsRetained:       m.RowsRetained,
-				RowsRechecked:      m.RowsRechecked,
-				RowsAdded:          m.RowsAdded,
-				RowsRemoved:        m.RowsRemoved,
-				BlocksDifferential: m.BlocksDifferential,
-				BlocksFallback:     m.BlocksFallback,
-				BlocksRebound:      m.BlocksRebound,
-				ListsRepaired:      m.ListsRepaired,
-				Renumbered:         m.Renumbered,
-			}
-		}
 		e.ETagChurn = len(info.Invalidated)
 		e.Invalidated = info.Invalidated
 	}

@@ -3,8 +3,7 @@
 // builder runs. Each entry carries the cycle's build ID and the
 // numbers every other subsystem already computes but used to throw
 // away — per-source fetch outcomes (mediator.RefreshReport), delta
-// sizes (graph.Diff), differential-maintenance stats
-// (struql.MatStats), page churn (core.RebuildInfo), publish
+// sizes (graph.Diff), page churn (core.RebuildInfo), publish
 // generation, per-stage wall/alloc figures — plus the end-to-end
 // freshness stamp: when a source change was observed and when the
 // affected pages' new ETags became servable at the edge.
@@ -60,21 +59,6 @@ type DeltaSize struct {
 	Collections int `json:"collections,omitempty"`
 }
 
-// EvalRecord is the differential-evaluation block maintenance tally
-// (struql.MatStats) for the cycle.
-type EvalRecord struct {
-	Ops                int  `json:"ops,omitempty"`
-	RowsRetained       int  `json:"rows_retained,omitempty"`
-	RowsRechecked      int  `json:"rows_rechecked,omitempty"`
-	RowsAdded          int  `json:"rows_added,omitempty"`
-	RowsRemoved        int  `json:"rows_removed,omitempty"`
-	BlocksDifferential int  `json:"blocks_differential,omitempty"`
-	BlocksFallback     int  `json:"blocks_fallback,omitempty"`
-	BlocksRebound      int  `json:"blocks_rebound,omitempty"`
-	ListsRepaired      int  `json:"lists_repaired,omitempty"`
-	Renumbered         bool `json:"renumbered,omitempty"`
-}
-
 // PageRecord is the page-churn accounting for the cycle.
 type PageRecord struct {
 	Total    int `json:"total"`
@@ -118,15 +102,13 @@ type Entry struct {
 	// "publish" (strudel build -publish), "initial" (serve startup
 	// build) or "interval" (the refresh loop).
 	Trigger string `json:"trigger"`
-	// Mode is the rebuild mode: "full", "selective", "differential",
-	// "noop", "dynamic" — or "failed" when the cycle errored before
-	// producing a result.
+	// Mode is the rebuild mode: "full", "selective", "noop", "dynamic"
+	// — or "failed" when the cycle errored before producing a result.
 	Mode string `json:"mode"`
 	Err  string `json:"err,omitempty"`
 
 	Sources []SourceRecord `json:"sources,omitempty"`
 	Data    *DeltaSize     `json:"data,omitempty"`
-	Eval    *EvalRecord    `json:"eval,omitempty"`
 	Pages   PageRecord     `json:"pages"`
 
 	// ETagChurn is how many published page ETags changed this cycle;

@@ -50,16 +50,11 @@ type DeltaStats struct {
 // name, its template association and therefore its path, so prev's
 // assignment is adopted wholesale (O(pages) map work) instead of
 // re-deriving template selection for every node the way Generate does;
-// only cone objects get fresh selection, paths and renders. The site
-// graph may be the one prev was rendered over, maintained in place, or
-// a fresh evaluation whose objects keep prev's names.
-//
-// oidsStable asserts that the site graph is the one prev was rendered
-// over and no OID changed since: adopted pages are then shared as-is —
-// no per-page name resolution, no copies. Otherwise each adopted page
-// is re-keyed to the node now bearing its name. Pages are immutable
-// once rendered, and only freshly rendered pages are written to, so
-// sharing is safe.
+// only cone objects get fresh selection, paths and renders. Each
+// adopted page is re-keyed to the node now bearing its name, so the
+// site graph may be a fresh evaluation whose objects keep prev's names.
+// A page whose OID did not move is shared as-is: pages are immutable
+// once rendered, and only freshly rendered pages are written to.
 //
 // When name-keyed adoption is not provably safe, every page renders
 // exactly as Generate would and DeltaStats.Full names the reason: no
@@ -67,9 +62,9 @@ type DeltaStats struct {
 // unnamed page object, a path collision in prev or in the new
 // assignment (suffixes follow OID order), or a cone page whose path
 // moved (links to it in adopted pages would go stale).
-func (g *Generator) Regenerate(ctx context.Context, prev *Site, cone map[graph.OID]struct{}, oidsStable bool) (*Site, *DeltaStats, error) {
+func (g *Generator) Regenerate(ctx context.Context, prev *Site, cone map[graph.OID]struct{}) (*Site, *DeltaStats, error) {
 	st := &DeltaStats{}
-	site, render, reason := g.adopt(prev, cone, oidsStable)
+	site, render, reason := g.adopt(prev, cone)
 	if reason != "" {
 		site, render = g.assignPaths()
 		st.Full, st.Reason = true, reason
@@ -91,7 +86,7 @@ func (g *Generator) Regenerate(ctx context.Context, prev *Site, cone map[graph.O
 // assigns paths to the cone's page objects, returning the objects left
 // to render in OID order. A non-empty reason means adoption is unsafe
 // and the partial site must be discarded.
-func (g *Generator) adopt(prev *Site, cone map[graph.OID]struct{}, oidsStable bool) (*Site, []graph.OID, string) {
+func (g *Generator) adopt(prev *Site, cone map[graph.OID]struct{}) (*Site, []graph.OID, string) {
 	switch {
 	case prev == nil:
 		return nil, nil, "no previous site"
@@ -108,13 +103,8 @@ func (g *Generator) adopt(prev *Site, cone map[graph.OID]struct{}, oidsStable bo
 		if p.Name == "" {
 			return nil, nil, "unnamed page object"
 		}
-		oid := p.OID
-		if !oidsStable {
-			var ok bool
-			if oid, ok = g.site.NodeByName(p.Name); !ok {
-				continue // object removed; prunedPaths picks the page up
-			}
-		} else if !g.site.HasNode(oid) {
+		oid, ok := g.site.NodeByName(p.Name)
+		if !ok {
 			continue // object removed; prunedPaths picks the page up
 		}
 		if _, touched := cone[oid]; touched {

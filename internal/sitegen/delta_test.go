@@ -2,7 +2,6 @@ package sitegen
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,7 +85,7 @@ func TestRegenerateDeltaTitleTouch(t *testing.T) {
 	}
 
 	gen := genFor(t, newGraph)
-	got, st, err := gen.Regenerate(context.Background(), prev, coneOf(newGraph, d), false)
+	got, st, err := gen.Regenerate(context.Background(), prev, coneOf(newGraph, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestRegenerateDeltaTitleTouch(t *testing.T) {
 
 func TestRegenerateDeltaNilPrevIsFull(t *testing.T) {
 	g := genFor(t, siteGraphFrom(t, fig2Data))
-	site, st, err := g.Regenerate(context.Background(), nil, nil, false)
+	site, st, err := g.Regenerate(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestRegenerateDeltaPrunesRemovedPages(t *testing.T) {
 	newData := strings.Replace(fig2Data, "    category \"Semistructured Data\"\n", "", 1)
 	newGraph := siteGraphFrom(t, newData)
 	d := graph.Diff(oldGraph, newGraph)
-	got, st, err := genFor(t, newGraph).Regenerate(context.Background(), prev, coneOf(newGraph, d), false)
+	got, st, err := genFor(t, newGraph).Regenerate(context.Background(), prev, coneOf(newGraph, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +170,7 @@ func TestRegenerateDeltaPrunesRemovedPages(t *testing.T) {
 }
 
 // TestRegenerateFallbacks: every case where name-keyed adoption is
-// unsafe renders the whole site, equal to Generate, and names why. The
-// site graph is edited in place, the way differential maintenance
-// edits it, and each case runs with and without stable OIDs.
+// unsafe renders the whole site, equal to Generate, and names why.
 func TestRegenerateFallbacks(t *testing.T) {
 	cfg := Config{
 		Templates: map[string]*template.Template{
@@ -265,32 +262,32 @@ func TestRegenerateFallbacks(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, stable := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/stable=%v", tc.name, stable), func(t *testing.T) {
-				g := graph.New("site")
-				tc.build(g)
-				prev, err := New(g, cfg).Generate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cone := g.ReverseReachable(tc.edit(g))
-				got, st, err := New(g, cfg).Regenerate(context.Background(), prev, cone, stable)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !st.Full || st.Reason != tc.reason {
-					t.Fatalf("stats = %+v, want a full render for %q", st, tc.reason)
-				}
-				if st.Reused != 0 || st.Rendered != len(got.Pages) || len(st.RenderedPaths) != len(got.Pages) {
-					t.Errorf("full render reports %d rendered (%d paths), %d reused of %d pages",
-						st.Rendered, len(st.RenderedPaths), st.Reused, len(got.Pages))
-				}
-				want, err := New(g, cfg).Generate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameSite(t, got, want)
-			})
-		}
+		// Regenerate never assumes stable OIDs: it re-keys adopted pages
+		// by name.
+		t.Run(tc.name+"/stable=false", func(t *testing.T) {
+			g := graph.New("site")
+			tc.build(g)
+			prev, err := New(g, cfg).Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cone := g.ReverseReachable(tc.edit(g))
+			got, st, err := New(g, cfg).Regenerate(context.Background(), prev, cone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Full || st.Reason != tc.reason {
+				t.Fatalf("stats = %+v, want a full render for %q", st, tc.reason)
+			}
+			if st.Reused != 0 || st.Rendered != len(got.Pages) || len(st.RenderedPaths) != len(got.Pages) {
+				t.Errorf("full render reports %d rendered (%d paths), %d reused of %d pages",
+					st.Rendered, len(st.RenderedPaths), st.Reused, len(got.Pages))
+			}
+			want, err := New(g, cfg).Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSite(t, got, want)
+		})
 	}
 }

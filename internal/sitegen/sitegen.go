@@ -85,9 +85,9 @@ type Site struct {
 	// PathOf maps page objects to their paths.
 	PathOf map[graph.OID]string
 	// Collisions counts pages whose natural path was taken and got a
-	// numeric suffix. Suffix assignment depends on OID enumeration
-	// order, which in-place graph maintenance does not preserve, so a
-	// collision-free site is a precondition for differential rebuilds.
+	// numeric suffix. Suffix assignment follows OID enumeration order,
+	// which name-keyed adoption cannot reproduce, so Regenerate renders
+	// in full when either site has a collision.
 	Collisions int
 }
 

@@ -65,29 +65,6 @@ type Options struct {
 	// the per-chunk overhead outweighs the win. 0 means the default
 	// (256).
 	ParallelThreshold int
-	// Capture, when set, records each block's deduplicated binding
-	// relation as the query stage computes it, so a differential
-	// evaluator can be primed from a full run without re-binding.
-	Capture *Capture
-}
-
-// Capture collects per-block binding relations during evaluation.
-// Sibling blocks bind concurrently, so writes are serialized.
-type Capture struct {
-	mu   sync.Mutex
-	envs map[*Block][]env
-}
-
-// NewCapture creates an empty capture.
-func NewCapture() *Capture { return &Capture{envs: map[*Block][]env{}} }
-
-func (c *Capture) record(b *Block, rows []env) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.envs[b] = rows
-	c.mu.Unlock()
 }
 
 // Result reports what an evaluation did.
@@ -158,7 +135,6 @@ func Eval(q *Query, input *graph.Graph, opts *Options) (*Result, error) {
 		prov:        opts.Provenance,
 		pool:        p,
 		parThresh:   thresh,
-		capture:     opts.Capture,
 	}
 	// Two stages, as in the paper but restructured for parallelism: the
 	// query stage binds every block of the tree (pure reads of the
@@ -217,9 +193,6 @@ type evaluator struct {
 	// instead).
 	pool      *pool.Pool
 	parThresh int
-	// capture, when non-nil, receives each block's deduplicated
-	// binding relation for differential priming.
-	capture *Capture
 }
 
 // boundBlock is one block's computed binding relation, with its
@@ -243,7 +216,6 @@ func (ev *evaluator) bindBlock(b *Block, parents []env) (*boundBlock, error) {
 		return nil, err
 	}
 	envs = dedupe(envs)
-	ev.capture.record(b, envs)
 	if pn != nil {
 		pn.SeedRows = len(parents)
 		pn.Rows = len(envs)

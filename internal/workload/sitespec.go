@@ -166,11 +166,10 @@ OUTPUT Site`, extra),
 // PartitionedSpec is a link-structured site with one page per object:
 // items link from per-year group indexes, nothing embeds a large set.
 // A one-object touch therefore re-renders only the item's page, its
-// group index and the root — the 10k-page shape on which differential
-// evaluation's single-digit-millisecond acceptance target is measured.
-// (BibliographySpec's AbstractsPage EMBEDs every abstract, so any
-// touch there pays an O(site) template render regardless of how fast
-// the evaluator is.)
+// group index and the root, so at 10k pages an incremental rebuild's
+// cost is the query phase, not rendering. (BibliographySpec's
+// AbstractsPage EMBEDs every abstract, so any touch there pays an
+// O(site) template render regardless of how fast the query phase is.)
 func PartitionedSpec() *SiteSpec {
 	return &SiteSpec{
 		Name: "partitioned",

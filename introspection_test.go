@@ -3,8 +3,8 @@ package strudel_test
 // Integration tests for the observability layer: EXPLAIN profiles must
 // be identical at any worker count on every example site, and page
 // provenance must agree with the incremental rebuilder — every page a
-// selective or differential rebuild re-renders traces back to a
-// changed object, and no reused page does.
+// selective rebuild re-renders traces back to a changed object, and no
+// reused page does.
 
 import (
 	"math/rand"
@@ -106,8 +106,7 @@ func TestExplainOptimizerAcrossSites(t *testing.T) {
 }
 
 // runProvenanceDifferential replays the differential edit script and
-// checks both provenance directions on every selective or differential
-// round:
+// checks both provenance directions on every selective round:
 //
 //   - every re-rendered page's derivation (its Sources, old and new
 //     union — a page re-rendered because an object was *removed* only
@@ -123,14 +122,13 @@ func TestExplainOptimizerAcrossSites(t *testing.T) {
 // where provenance (forward reachability) and the rebuilder (reverse
 // reachability from the changed objects) must agree exactly.
 //
-// The differential branch maintains the previous site graph in place,
-// so the site diff starts at a scratch build of the pre-edit data; the
-// data graph changes in place too, so each result's provenance is taken
-// before the next edit. checked accumulates, per rebuild mode, the
-// rendered and reused pages checked.
+// The site diff starts at an independent scratch build of the pre-edit
+// data, not at the rebuilder's own previous site graph. The data graph
+// changes in place, so each result's provenance is taken before the
+// next edit. checked accumulates the rendered and reused pages checked.
 func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.Builder,
 	fresh func() *graph.Graph, mutate func(*testing.T, *graph.Graph, *rand.Rand),
-	seed0 int64, differential bool, checked map[string]*[2]int) {
+	seed0 int64, checked *[2]int) {
 	t.Helper()
 	provenance := func(b *core.Builder, res *core.Result) *core.Provenance {
 		t.Helper()
@@ -142,7 +140,6 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 	}
 	cur := fresh()
 	b := mkBuilder(t)
-	b.SetDifferential(differential)
 	b.SetDataGraph(cur)
 	prev, err := b.Build()
 	if err != nil {
@@ -151,7 +148,6 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 	prevProv := provenance(b, prev)
 	old := fresh()
 	scratch := mkBuilder(t)
-	scratch.SetDifferential(false)
 	scratch.SetDataGraph(old)
 	for round := 0; round < diffRounds; round++ {
 		seed := seed0 + int64(round)
@@ -168,12 +164,9 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 		mutate(t, old, rand.New(rand.NewSource(seed)))
 		resProv := provenance(b, res)
 		mode := res.Incremental.Mode
-		if mode != "selective" && mode != "differential" {
+		if mode != "selective" {
 			prev, prevProv = res, resProv
 			continue
-		}
-		if checked[mode] == nil {
-			checked[mode] = &[2]int{}
 		}
 		changed := map[string]bool{}
 		for _, name := range delta.Objects() {
@@ -195,7 +188,7 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 				continue
 			}
 			if renderedPaths[path] {
-				checked[mode][0]++
+				checked[0]++
 				// Union of the page's sources before and after the edit.
 				touches := false
 				for _, p := range []*core.Provenance{resProv, prevProv} {
@@ -212,7 +205,7 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 						round, mode, path, delta.Objects())
 				}
 			} else {
-				checked[mode][1]++
+				checked[1]++
 				for _, name := range pp.Objects {
 					if changedSite[name] {
 						t.Errorf("round %d (%s): page %s was reused but its render closure contains changed site object %s",
@@ -228,29 +221,20 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 // TestProvenanceTracksDeltaRebuilds is the provenance half of the
 // differential suite: across random edit scripts on every example
 // site, provenance and the incremental rebuilder must agree on which
-// pages a change can reach, on the differential branch and, with
-// SetDifferential(false), on the selective one.
+// pages a change can reach.
 func TestProvenanceTracksDeltaRebuilds(t *testing.T) {
-	checked := map[string]*[2]int{}
+	var checked [2]int
 	for _, site := range introspectionSites() {
 		site := site
 		t.Run(site.name, func(t *testing.T) {
-			for _, differential := range []bool{true, false} {
-				runProvenanceDifferential(t, site.mkBuilder, site.fresh, site.mutate, site.seed0, differential, checked)
-			}
+			runProvenanceDifferential(t, site.mkBuilder, site.fresh, site.mutate, site.seed0, &checked)
 		})
 	}
-	for _, mode := range []string{"selective", "differential"} {
-		c := checked[mode]
-		if c == nil {
-			c = &[2]int{}
-		}
-		t.Logf("%s rounds: checked %d rendered, %d reused pages", mode, c[0], c[1])
-		if c[0] == 0 {
-			t.Errorf("no %s round re-rendered any page — the provenance check never ran", mode)
-		}
-		if c[1] == 0 {
-			t.Errorf("no %s round reused any page — the reuse check never ran", mode)
-		}
+	t.Logf("selective rounds: checked %d rendered, %d reused pages", checked[0], checked[1])
+	if checked[0] == 0 {
+		t.Error("no selective round re-rendered any page — the provenance check never ran")
+	}
+	if checked[1] == 0 {
+		t.Error("no selective round reused any page — the reuse check never ran")
 	}
 }

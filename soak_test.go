@@ -1,13 +1,14 @@
 package strudel_test
 
-// Soak test for differential maintenance: one warehouse, hundreds of
+// Soak test for incremental maintenance: one warehouse, hundreds of
 // sequential random edits, one incremental rebuild per edit, never a
 // fresh builder. Periodic checkpoints rebuild the identically edited
-// data from scratch and require byte-identical pages, site-graph dump,
-// and binding relations — so state that drifts slowly (support counts,
-// sequence numbers, order repair) is caught within one checkpoint
-// window of where it went wrong. `make soak` runs the full 500 edits
-// under the race detector; -short keeps a CI-sized slice of it.
+// data from scratch and require byte-identical pages and site-graph
+// dump — so state carried across rebuilds (adopted pages, the journal
+// baseline, the ledger) that drifts slowly is caught within one
+// checkpoint window of where it went wrong. `make soak` runs the full
+// 500 edits under the race detector; -short keeps a CI-sized slice of
+// it.
 
 import (
 	"math/rand"
@@ -48,7 +49,7 @@ func TestSoakDifferential(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(77))
 	var script editScript
-	differentialRounds, stamped := 0, 0
+	selectiveRounds, stamped := 0, 0
 	for i := 1; i <= edits; i++ {
 		op := editOp{Kind: rng.Intn(5), Seed: rng.Int63()}
 		script = append(script, op)
@@ -58,8 +59,8 @@ func TestSoakDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("edit %d: rebuild: %v", i, err)
 		}
-		if res.Incremental != nil && res.Incremental.Mode == "differential" {
-			differentialRounds++
+		if res.Incremental != nil && res.Incremental.Mode == "selective" {
+			selectiveRounds++
 		}
 		e := ledger.FromResult(res, "interval")
 		if e.Mode != "noop" {
@@ -94,14 +95,14 @@ func TestSoakDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("checkpoint at edit %d: scratch build: %v", i, err)
 		}
-		if err := compareResultsErr(prev, want, b.BindingDump(), sb.BindingDump()); err != nil {
+		if err := compareResultsErr(prev, want); err != nil {
 			t.Fatalf("checkpoint at edit %d: %v", i, err)
 		}
 	}
 	// The soak is only meaningful if the fast path actually carried the
 	// load; a silent degradation to full rebuilds must fail loudly.
-	if differentialRounds < edits/2 {
-		t.Errorf("only %d of %d edits took the differential path", differentialRounds, edits)
+	if selectiveRounds < edits/2 {
+		t.Errorf("only %d of %d edits took the selective path", selectiveRounds, edits)
 	}
 	// Freshness must have been tracked for the soak to mean anything:
 	// nearly every random edit changes the site.
@@ -127,6 +128,6 @@ func TestSoakDifferential(t *testing.T) {
 		t.Errorf("recovered %d entries, head seq %d, want head %d",
 			len(recovered), recovered[0].Seq, edits)
 	}
-	t.Logf("soak: %d edits, %d differential, %d stamped, %d recovered, %d checkpoints",
-		edits, differentialRounds, stamped, len(recovered), edits/checkpointEvery)
+	t.Logf("soak: %d edits, %d selective, %d stamped, %d recovered, %d checkpoints",
+		edits, selectiveRounds, stamped, len(recovered), edits/checkpointEvery)
 }

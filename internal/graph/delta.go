@@ -101,7 +101,8 @@ func (d *Delta) Summary() string {
 }
 
 // objSnap is one object's canonical comparison form: its out-edges as
-// "label\x00targetKey" strings and the collections it belongs to.
+// the label, a NUL, then the KindNode byte and the target's Key or the
+// atom's AppendKey encoding; and the collections it belongs to.
 type objSnap struct {
 	edges   map[string]struct{}
 	members map[string]struct{}
@@ -140,10 +141,18 @@ func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[stri
 		}
 		return v.String()
 	}
+	var buf []byte
 	snap := func(nd *nodeData) *objSnap {
 		s := &objSnap{edges: make(map[string]struct{}, len(nd.out))}
-		for _, e := range nd.out {
-			s.edges[e.Label+"\x00"+valKey(e.To)] = struct{}{}
+		for i := range nd.out {
+			e := &nd.out[i]
+			buf = append(append(buf[:0], e.Label...), 0)
+			if e.To.IsNode() {
+				buf = append(append(buf, byte(KindNode)), key(e.To.OID())...)
+			} else {
+				buf = e.To.AppendKey(buf)
+			}
+			s.edges[string(buf)] = struct{}{}
 		}
 		return s
 	}

@@ -132,3 +132,15 @@ func TestReverseReachable(t *testing.T) {
 		t.Error("unrelated node in reverse cone")
 	}
 }
+
+// TestDiffIntAndFloatAtomsDiffer: an edge to Int(5) and one to
+// Float(5) print alike but are different objects, so replacing one by
+// the other changes the node.
+func TestDiffIntAndFloatAtomsDiffer(t *testing.T) {
+	old, new := New("old"), New("new")
+	old.AddEdge(old.NewNode("x1"), "v", Int(5))
+	new.AddEdge(new.NewNode("x1"), "v", Float(5))
+	if got, want := Diff(old, new).Summary(), "delta: +0 -0 ~1 objects, labels v"; got != want {
+		t.Errorf("Diff = %q, want %q", got, want)
+	}
+}

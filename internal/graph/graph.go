@@ -235,7 +235,10 @@ func (g *Graph) Nodes() []OID {
 // AddEdge adds a labeled edge from a node to a value. The target node
 // of a node-valued edge is implicitly added to the graph if missing
 // (graphs of the same database may share objects). Duplicate edges
-// (same from, label, to) are ignored.
+// (same from, label, to) are ignored. A node-valued edge is in both the
+// source's out-list and the target's in-list, so the duplicate check
+// reads the shorter of the two: adding d edges from a hub to nodes of
+// small in-degree costs O(d), not O(d²).
 func (g *Graph) AddEdge(from OID, label string, to Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -246,15 +249,26 @@ func (g *Graph) AddEdge(from OID, label string, to Value) error {
 	if to.IsZero() {
 		return fmt.Errorf("graph %q: edge %q from &%d has invalid target", g.name, label, uint64(from))
 	}
-	for _, e := range nd.out {
-		if e.Label == label && e.To == to {
-			return nil
+	var tn *nodeData
+	if to.IsNode() {
+		tn = g.nodes[to.OID()]
+	}
+	if tn != nil && len(tn.in) < len(nd.out) {
+		for i := range tn.in {
+			if e := &tn.in[i]; e.From == from && e.Label == label {
+				return nil
+			}
+		}
+	} else {
+		for i := range nd.out {
+			if e := &nd.out[i]; e.Label == label && e.To == to {
+				return nil
+			}
 		}
 	}
 	if to.IsNode() {
 		g.alloc.reserve(to.OID())
-		tn, ok := g.nodes[to.OID()]
-		if !ok {
+		if tn == nil {
 			tn = &nodeData{}
 			g.nodes[to.OID()] = tn
 			g.logOp(Op{Kind: OpAddNode, Node: to.OID()})

@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -206,6 +208,38 @@ func (v Value) Text() string {
 	default:
 		return ""
 	}
+}
+
+// AppendKey appends v's identity encoding to b and returns the
+// extended buffer: the kind byte, then eight bytes of OID, integer or
+// float bits, one byte of boolean, or a length-prefixed string (a file
+// prefixes its type byte). Two values encode alike exactly when they
+// are ==, except that a NaN encodes alike to itself; unlike String,
+// Int(5) and Float(5) differ. Binding rows, Skolem arguments and Diff's
+// edge sets key by it instead of formatting values.
+func (v Value) AppendKey(b []byte) []byte {
+	b = append(b, byte(v.kind))
+	switch v.kind {
+	case KindNode:
+		return binary.BigEndian.AppendUint64(b, uint64(v.oid))
+	case KindInt:
+		return binary.BigEndian.AppendUint64(b, uint64(v.i))
+	case KindFloat:
+		f := v.f
+		if f == 0 {
+			f = 0 // -0 == +0
+		}
+		return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+	case KindBool:
+		if v.b {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case KindFile:
+		b = append(b, byte(v.ft))
+	}
+	b = binary.AppendUvarint(b, uint64(len(v.s)))
+	return append(b, v.s...)
 }
 
 // String renders the value with type decoration for diagnostics.

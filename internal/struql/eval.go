@@ -2,6 +2,7 @@ package struql
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -127,6 +128,7 @@ func Eval(q *Query, input *graph.Graph, opts *Options) (*Result, error) {
 		reg:         reg,
 		varKinds:    q.Root.Vars(),
 		newNodes:    map[graph.OID]bool{},
+		skolems:     map[string]graph.OID{},
 		nfaCache:    map[*PathExpr]*nfa{},
 		maxB:        maxB,
 		planner:     opts.WherePlanner,
@@ -173,6 +175,12 @@ type evaluator struct {
 	reg      *Registry
 	varKinds map[string]varKind
 	newNodes map[graph.OID]bool
+	// skolems memoizes skolemNode for this evaluation: function name
+	// and encoded arguments → OID. skolemBuf is its key buffer.
+	skolems   map[string]graph.OID
+	skolemBuf []byte
+	// rowKeys encodes provenance's binding-row keys.
+	rowKeys  rowKeyer
 	nfaMu    sync.Mutex
 	nfaCache map[*PathExpr]*nfa
 	rows     int
@@ -1013,33 +1021,59 @@ func dedupe(rows []env) []env {
 	if len(rows) < 2 {
 		return rows
 	}
+	var keys rowKeyer
 	seen := make(map[string]struct{}, len(rows))
 	out := make([]env, 0, len(rows))
 	for _, r := range rows {
-		k := rowKey(r)
-		if _, dup := seen[k]; dup {
+		k := keys.key(r)
+		if _, dup := seen[string(k)]; dup {
 			continue
 		}
-		seen[k] = struct{}{}
+		seen[string(k)] = struct{}{}
 		out = append(out, r)
 	}
 	return out
 }
 
-func rowKey(r env) string {
-	names := make([]string, 0, len(r))
-	for n := range r {
-		names = append(names, n)
+// rowKeyer encodes binding rows as injective byte keys: each variable's
+// length-prefixed name and graph.Value.AppendKey encoding, in name
+// order. The sorted names are kept and re-sorted only when a row's
+// variable set differs, which within one relation it does not. A key
+// is valid until the next call.
+type rowKeyer struct {
+	names []string
+	buf   []byte
+}
+
+func (k *rowKeyer) key(r env) []byte {
+	if !k.encode(r) {
+		k.names = k.names[:0]
+		for n := range r {
+			k.names = append(k.names, n)
+		}
+		sort.Strings(k.names)
+		k.encode(r)
 	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, n := range names {
-		sb.WriteString(n)
-		sb.WriteByte('=')
-		sb.WriteString(r[n].String())
-		sb.WriteByte(';')
+	return k.buf
+}
+
+// encode writes r's key into k.buf over k.names; false when r's
+// variables are not exactly k.names.
+func (k *rowKeyer) encode(r env) bool {
+	if len(r) != len(k.names) {
+		return false
 	}
-	return sb.String()
+	b := k.buf[:0]
+	for _, n := range k.names {
+		v, ok := r[n]
+		if !ok {
+			return false
+		}
+		b = binary.AppendUvarint(b, uint64(len(n)))
+		b = v.AppendKey(append(b, n...))
+	}
+	k.buf = b
+	return true
 }
 
 // aggKey groups aggregate accumulation by link clause, resolved
@@ -1226,22 +1260,30 @@ func Aggregate(op AggOp, vals []graph.Value) (graph.Value, error) {
 // first use. By definition a Skolem function applied to the same
 // inputs produces the same node OID; the output graph's symbolic node
 // names serve as the memo table, which also makes Skolem identities
-// stable across queries composed into the same output graph.
+// stable across queries composed into the same output graph. In front
+// of that name lookup, ev.skolems memoizes this evaluation's
+// applications by function name and encoded arguments, so a repeated
+// application formats no name.
 func (ev *evaluator) skolemNode(t SkolemTerm, r env) (graph.OID, error) {
-	args := make([]string, len(t.Args))
-	for i, a := range t.Args {
+	b := append(ev.skolemBuf[:0], t.Func...)
+	for _, a := range t.Args {
 		v, ok := resolve(a, r)
 		if !ok {
 			return 0, fmt.Errorf("struql: %s: variable %q unbound", t, a.Var)
 		}
-		args[i] = skolemArgKey(ev.in, v)
+		b = v.AppendKey(append(b, 0))
 	}
-	key := t.Func + "(" + strings.Join(args, ",") + ")"
-	if id, ok := ev.out.NodeByName(key); ok {
-		ev.newNodes[id] = true
+	ev.skolemBuf = b
+	if id, ok := ev.skolems[string(b)]; ok {
 		return id, nil
 	}
-	id := ev.out.NewNode(key)
+	args := make([]string, len(t.Args))
+	for i, a := range t.Args {
+		v, _ := resolve(a, r)
+		args[i] = skolemArgKey(ev.in, v)
+	}
+	id := ev.out.NewNode(t.Func + "(" + strings.Join(args, ",") + ")")
+	ev.skolems[string(b)] = id
 	ev.newNodes[id] = true
 	return id, nil
 }

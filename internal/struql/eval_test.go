@@ -439,3 +439,22 @@ func TestEvalResultIsSetSemantics(t *testing.T) {
 		t.Errorf("Reach has %d members, want 3 (set semantics)", got)
 	}
 }
+
+// TestEvalIntAndFloatBindingsDiffer: Int(5) and Float(5) print alike
+// but are different values, so they make two binding rows and two
+// collection members.
+func TestEvalIntAndFloatBindingsDiffer(t *testing.T) {
+	g := graph.New("g")
+	x := g.NewNode("x1")
+	g.AddToCollection("C", graph.NodeValue(x))
+	g.AddEdge(x, "v", graph.Int(5))
+	g.AddEdge(x, "v", graph.Float(5))
+	q := MustParse(`WHERE C(x), x -> "v" -> v COLLECT Vals(v)`)
+	res := mustEval(t, q, g, nil)
+	if res.Bindings != 2 {
+		t.Errorf("Bindings = %d, want 2", res.Bindings)
+	}
+	if got := res.Output.Collection("Vals"); len(got) != 2 {
+		t.Errorf("Vals = %v, want Int(5) and Float(5)", got)
+	}
+}

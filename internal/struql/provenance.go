@@ -78,9 +78,9 @@ func (p *Provenance) record(ev *evaluator, b *Block, id graph.OID, r env) {
 		}
 		p.nodes[id] = np
 	}
-	key := rowKey(r)
-	if _, dup := np.rowSeen[key]; !dup {
-		np.rowSeen[key] = struct{}{}
+	key := ev.rowKeys.key(r)
+	if _, dup := np.rowSeen[string(key)]; !dup {
+		np.rowSeen[string(key)] = struct{}{}
 		np.tuples++
 		if len(np.sample) < maxProvTuples {
 			t := make(Binding, len(r))

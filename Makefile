@@ -1,11 +1,11 @@
 # Verify loop. `make check` is the gate every change must pass: build,
-# vet, the full test suite, the race detector over the atomic
+# vet, gofmt, the full test suite, the race detector over the atomic
 # telemetry counters and the concurrent click-time cache, the chaos
 # suite (fault-injected sources under concurrent load), and the
 # parallel-build determinism suite.
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-e2e chaos crash testpar fuzz load soak ledger check explain-demo
+.PHONY: build test vet fmt race bench bench-smoke bench-e2e chaos crash testpar fuzz load soak ledger check explain-demo
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would change any tracked Go file.
+fmt:
+	@out=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -114,4 +119,4 @@ explain-demo:
 
 # bench-smoke is not part of check (CI runs it as its own step); run it
 # directly after touching benchmark code.
-check: build vet test race chaos crash testpar load fuzz ledger
+check: build vet fmt test race chaos crash testpar load fuzz ledger

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"strudel/internal/server"
 	"strudel/internal/sitegen"
 	"strudel/internal/struql"
+	"strudel/internal/template"
 	"strudel/internal/workload"
 )
 
@@ -100,6 +102,144 @@ func TestStaticDynamicEquivalence(t *testing.T) {
 	}
 	if checked < 40 {
 		t.Errorf("only %d pages checked", checked)
+	}
+}
+
+// TestClickTimeMatchesMaterialized: materialization and click-time
+// evaluation are two ways to evaluate one site, so they serve the same
+// bytes. Each shape is built statically and at click time over the
+// same data, with the renderer's URLs mapped to the static paths by
+// page name, and the whole site is discovered. Every static page must
+// be discovered at click time and render to the static bytes, and
+// each of its labels must list its edges in the order struql.Eval
+// built them. Whole-page edge order is not compared: on the Fig. 3
+// homepage static construction adds a presentation's Abstract after
+// its first binding row, the per-page query after all of them, and no
+// template can observe that, since every step of a template path
+// names a label.
+func TestClickTimeMatchesMaterialized(t *testing.T) {
+	withData := func(spec *workload.SiteSpec, data *graph.Graph) func(*testing.T) *core.Builder {
+		return func(t *testing.T) *core.Builder {
+			b := specBuilder(spec)(t)
+			b.SetDataGraph(data)
+			return b
+		}
+	}
+	mediated := func(spec *workload.SiteSpec) func(*testing.T) *core.Builder {
+		src := workload.Organization(120, 25, 6, 7)
+		return func(t *testing.T) *core.Builder {
+			b := specBuilder(spec)(t)
+			for _, s := range []struct{ name, kind, content string }{
+				{"people.csv", "csv", src.PeopleCSV},
+				{"departments.csv", "csv", src.DepartmentsCSV},
+				{"projects.txt", "structured", src.ProjectsTxt},
+			} {
+				if err := b.AddSource(s.name, s.kind, s.content); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b
+		}
+	}
+	// Two edges to atoms that print alike, Int(5) and Float(5).
+	intFloat := graph.New("G")
+	intFloat.DeclareCollection("C")
+	x1 := intFloat.NewNode("x1")
+	intFloat.AddToCollection("C", graph.NodeValue(x1))
+	intFloat.AddEdge(x1, "v", graph.Int(5))
+	intFloat.AddEdge(x1, "v", graph.Float(5))
+	intFloatSpec := &workload.SiteSpec{
+		Name: "int-float",
+		Query: `INPUT G
+CREATE F("fixed")
+COLLECT Roots(F("fixed"))
+WHERE C(x), x -> "v" -> v
+LINK F("fixed") -> "val" -> v
+OUTPUT S`,
+		Templates:      map[string]*template.Template{"F": template.MustParse("F", `<SFMT val DELIM=", ">`)},
+		RootCollection: "Roots",
+	}
+	shapes := []struct {
+		name  string
+		build func(*testing.T) *core.Builder
+	}{
+		{"homepage", withData(workload.BibliographySpec(), workload.Bibliography(40, 11))},
+		{"partitioned", withData(workload.PartitionedSpec(), workload.Bibliography(200, 3))},
+		{"cnn", withData(workload.ArticleSpec(false), workload.Articles(100, 1))},
+		{"cnn-sports", withData(workload.ArticleSpec(true), workload.Articles(100, 1))},
+		{"org-internal", mediated(workload.OrgSpec(false))},
+		{"org-external", mediated(workload.OrgSpec(true))},
+		{"int-float", withData(intFloatSpec, intFloat)},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			b := sh.build(t)
+			res, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := b.BuildDynamic()
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths := map[string]string{}
+			for _, pg := range res.Site.Pages {
+				paths[pg.Name] = pg.Path
+			}
+			r.URLFor = func(key string) string {
+				if p, ok := paths[key]; ok {
+					return p
+				}
+				return "/not-materialized/" + key
+			}
+			if _, err := r.Dec.MaterializeAll("Roots"); err != nil {
+				t.Fatal(err)
+			}
+			differ := 0
+			for _, path := range res.Site.Paths() {
+				pg := res.Site.Pages[path]
+				ref, ok := r.Dec.Resolve(pg.Name)
+				if !ok {
+					t.Errorf("%s: never discovered at click time", pg.Name)
+					continue
+				}
+				got, err := r.RenderPage(ref)
+				if err != nil {
+					t.Errorf("%s: %v", pg.Name, err)
+					continue
+				}
+				if got != pg.HTML {
+					if differ++; differ <= 3 {
+						t.Errorf("%s renders differently at click time:\n got: %q\nwant: %q", pg.Name, got, pg.HTML)
+					}
+				}
+				pd, err := r.Dec.Page(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				static, dynamic := map[string][]string{}, map[string][]string{}
+				for _, e := range res.SiteGraph.Out(pg.OID) {
+					id := "V" + string(e.To.AppendKey(nil))
+					if e.To.IsNode() && res.SiteGraph.NodeName(e.To.OID()) != "" {
+						id = "P" + res.SiteGraph.NodeName(e.To.OID())
+					}
+					static[e.Label] = append(static[e.Label], id)
+				}
+				for _, e := range pd.Edges {
+					id := "V" + string(e.Value.AppendKey(nil))
+					if e.Page != nil {
+						id = "P" + e.Page.Key()
+					}
+					dynamic[e.Label] = append(dynamic[e.Label], id)
+				}
+				if !reflect.DeepEqual(static, dynamic) {
+					t.Errorf("%s: edges per label differ:\n click time %q\n static     %q", pg.Name, dynamic, static)
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%d of %d pages render differently at click time", differ, len(res.Site.Pages))
+			}
+		})
 	}
 }
 

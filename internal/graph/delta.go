@@ -135,12 +135,6 @@ func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[stri
 			return g.keyLocked(id)
 		}
 	}
-	valKey := func(v Value) string {
-		if v.IsNode() {
-			return key(v.OID())
-		}
-		return v.String()
-	}
 	var buf []byte
 	snap := func(nd *nodeData) *objSnap {
 		s := &objSnap{edges: make(map[string]struct{}, len(nd.out))}
@@ -156,12 +150,18 @@ func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[stri
 		}
 		return s
 	}
+	// A node member is keyed as objs is, an atom by its encoding.
 	snapColl := func(name string, c *collection) {
 		set := make(map[string]struct{}, len(c.members))
 		for _, v := range c.members {
-			k := valKey(v)
+			if !v.IsNode() {
+				buf = v.AppendKey(buf[:0])
+				set[string(buf)] = struct{}{}
+				continue
+			}
+			k := key(v.OID())
 			set[k] = struct{}{}
-			if s, ok := objs[k]; ok && v.IsNode() {
+			if s, ok := objs[k]; ok {
 				s.addMember(name)
 			}
 		}

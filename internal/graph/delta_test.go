@@ -133,14 +133,21 @@ func TestReverseReachable(t *testing.T) {
 	}
 }
 
-// TestDiffIntAndFloatAtomsDiffer: an edge to Int(5) and one to
-// Float(5) print alike but are different objects, so replacing one by
-// the other changes the node.
+// TestDiffIntAndFloatAtomsDiffer: Int(5) and Float(5) print alike but
+// are different values, so replacing one by the other as an edge
+// target changes the node, and as a collection member changes the
+// collection.
 func TestDiffIntAndFloatAtomsDiffer(t *testing.T) {
 	old, new := New("old"), New("new")
 	old.AddEdge(old.NewNode("x1"), "v", Int(5))
 	new.AddEdge(new.NewNode("x1"), "v", Float(5))
 	if got, want := Diff(old, new).Summary(), "delta: +0 -0 ~1 objects, labels v"; got != want {
+		t.Errorf("Diff = %q, want %q", got, want)
+	}
+	old, new = New("old"), New("new")
+	old.AddToCollection("Vals", Int(5))
+	new.AddToCollection("Vals", Float(5))
+	if got, want := Diff(old, new).Summary(), "delta: +0 -0 ~0 objects, collections Vals"; got != want {
 		t.Errorf("Diff = %q, want %q", got, want)
 	}
 }

@@ -12,9 +12,10 @@ import (
 // classes, and entries touching unnamed or vanished nodes, are dropped
 // — conservatively recomputed on the next click. Cached PageData holds
 // exactly the page's own out-edges (link targets are identified by
-// key, not content), so direct class sensitivity, without the render
-// closure, is enough for soundness. Returns the number of entries
-// adopted.
+// key, not content; a render reads a linked page's anchor text from
+// that page's own entry), so direct class sensitivity, without the
+// render closure, is enough for soundness. Returns the number of
+// entries adopted.
 func (d *Decomposition) AdoptCache(prev *Decomposition, im *schema.Impact) int {
 	if prev == nil || im == nil || im.All {
 		return 0

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"strudel/internal/graph"
@@ -35,27 +34,15 @@ type PageRef struct {
 // matches the node names the full evaluator gives Skolem nodes, so
 // materialized and dynamic sites agree on identity.
 func (r PageRef) Key() string {
-	if r.key != "" {
-		return r.key
-	}
 	return r.keyWith(nil)
 }
 
+// keyWith is Key with node arguments named by g (struql.SkolemName).
 func (r PageRef) keyWith(g *graph.Graph) string {
 	if r.key != "" {
 		return r.key
 	}
-	parts := make([]string, len(r.Args))
-	for i, a := range r.Args {
-		if g != nil && a.IsNode() {
-			if n := g.NodeName(a.OID()); n != "" {
-				parts[i] = n
-				continue
-			}
-		}
-		parts[i] = a.String()
-	}
-	return r.Func + "(" + strings.Join(parts, ",") + ")"
+	return struql.SkolemName(g, r.Func, r.Args)
 }
 
 // PageEdge is one outgoing edge of a dynamically computed page.
@@ -376,6 +363,7 @@ func (d *Decomposition) Page(ref PageRef) (*PageData, error) {
 
 	pd := &PageData{Ref: ref, Key: key}
 	edgeSeen := map[string]bool{}
+	var sig []byte
 	type aggGroup struct {
 		op    struql.AggOp
 		label string
@@ -438,9 +426,9 @@ func (d *Decomposition) Page(ref PageRef) (*PageData, error) {
 			if err != nil {
 				return nil, fmt.Errorf("incremental: page %s: %w", key, err)
 			}
-			sig := edgeSignature(edge)
-			if !edgeSeen[sig] {
-				edgeSeen[sig] = true
+			sig = edgeSignature(sig[:0], &edge)
+			if !edgeSeen[string(sig)] {
+				edgeSeen[string(sig)] = true
 				pd.Edges = append(pd.Edges, edge)
 			}
 		}
@@ -507,11 +495,16 @@ func refFromSkolem(s struql.SkolemTerm, row struql.Binding) (PageRef, error) {
 	return ref, nil
 }
 
-func edgeSignature(e PageEdge) string {
+// edgeSignature appends e's identity to b: its label, a NUL, then the
+// target page's key or the value's Value.AppendKey encoding. Like
+// graph.AddEdge, it tells apart values that print alike, such as
+// Int(5) and Float(5).
+func edgeSignature(b []byte, e *PageEdge) []byte {
+	b = append(append(b, e.Label...), 0)
 	if e.Page != nil {
-		return e.Label + "\x00P" + e.Page.Key()
+		return append(append(b, 'P'), e.Page.Key()...)
 	}
-	return e.Label + "\x00V" + e.Value.String()
+	return e.Value.AppendKey(append(b, 'V'))
 }
 
 // MaterializeAll walks the whole site breadth-first from the given

@@ -20,8 +20,8 @@ func cacheSnapshot(d *Decomposition) string {
 	lines := make([]string, 0, len(d.cache))
 	for key, pd := range d.cache {
 		sigs := make([]string, len(pd.Edges))
-		for i, e := range pd.Edges {
-			sigs[i] = edgeSignature(e)
+		for i := range pd.Edges {
+			sigs[i] = string(edgeSignature(nil, &pd.Edges[i]))
 		}
 		lines = append(lines, key+": "+strings.Join(sigs, ", "))
 	}

@@ -54,7 +54,7 @@ func renderReference(r *Renderer, ref PageRef) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.renderOID(g, oid, 0)
+	return r.render(g, oid)
 }
 
 // discoverAll computes every page reachable from the root collection

@@ -2,24 +2,23 @@ package incremental
 
 import (
 	"context"
-	"fmt"
-	"html"
 	"iter"
 	"net/url"
-	"strings"
 	"time"
 
 	"strudel/internal/graph"
+	"strudel/internal/sitegen"
 	"strudel/internal/telemetry"
 	"strudel/internal/template"
 )
 
-// Renderer renders dynamically computed pages to HTML with the same
-// template language the static generator uses. Because a dynamic page
-// is not part of a materialized site graph, the renderer materializes
-// a small transient graph around the requested page — only what the
-// templates rendering it can read (see materialize) — and evaluates
-// the template against it.
+// Renderer renders dynamically computed pages to HTML through the
+// static generator's rendering rules (sitegen.Generator.RenderPage),
+// so a page renders the bytes full materialization gives it. Because a
+// dynamic page is not part of a materialized site graph, the renderer
+// materializes a small transient graph around the requested page —
+// only what the templates rendering it can read (see materialize) —
+// and renders the page from it.
 type Renderer struct {
 	Dec       *Decomposition
 	Templates map[string]*template.Template
@@ -27,9 +26,10 @@ type Renderer struct {
 	EmbedOnly map[string]bool
 	// URLFor maps a page key to its URL; default "/page/<key>".
 	URLFor func(key string) string
-	// MaxDepth bounds how deep pages embed pages (default 8): a render
-	// that embeds deeper, as an EMBED cycle does, fails. It does not
-	// limit which pages a render loads.
+	// MaxDepth bounds how deep pages embed pages, as the generator's
+	// Config.MaxEmbedDepth does (0 means its default): a render that
+	// embeds deeper, as an EMBED cycle does, fails. It does not limit
+	// which pages a render loads.
 	MaxDepth int
 
 	// BuiltAt is when the renderer's data graph was last refreshed (or
@@ -59,13 +59,6 @@ func (r *Renderer) urlFor(key string) string {
 		return r.URLFor(key)
 	}
 	return "/page/" + url.PathEscape(key)
-}
-
-func (r *Renderer) maxDepth() int {
-	if r.MaxDepth > 0 {
-		return r.MaxDepth
-	}
-	return 8
 }
 
 // RenderPage computes and renders one page.
@@ -98,7 +91,14 @@ func (r *Renderer) RenderPageContext(ctx context.Context, ref PageRef) (string, 
 	if err != nil {
 		return "", err
 	}
-	return r.renderOID(t.g, p.oid, 0)
+	return r.render(t.g, p.oid)
+}
+
+// render renders the page node oid of a transient graph, linking every
+// page node it references to the page's URL.
+func (r *Renderer) render(g *graph.Graph, oid graph.OID) (string, error) {
+	gen := sitegen.New(g, sitegen.Config{Templates: r.Templates, EmbedOnly: r.EmbedOnly, MaxEmbedDepth: r.MaxDepth})
+	return gen.RenderPage(oid, r.urlFor)
 }
 
 // transient is the graph one render evaluates its templates against,
@@ -140,11 +140,12 @@ func (t *transient) page(ref PageRef) *transientPage {
 // child is EMBED-marked, or its function is embed-only) and has a
 // template is also materialized for that template's own read set,
 // since rendering it evaluates the template there. A page is computed
-// only when some node it is reached at has children, so a link whose
-// target the template does not read costs the target's key alone.
+// only when some node it is reached at has children, so a target the
+// template reads nothing of costs its key alone; a link's anchor text
+// counts as read (see template.ReadSet).
 // Each (page, node) pair is visited once, which bounds the walk by
 // the pages times the read-set nodes and ends EMBED cycles; the
-// embedding depth bound is renderOID's.
+// embedding depth bound is the generator's.
 func (t *transient) materialize(ctx context.Context, ref PageRef, reads *template.ReadSet) (*transientPage, error) {
 	p := t.page(ref)
 	if reads == nil || reads.Leaf() || p.visited[reads] {
@@ -230,52 +231,4 @@ func (t *transient) addEdge(from graph.OID, e *PageEdge) error {
 		to = graph.NodeValue(t.g.NewNode(t.r.Dec.input.NodeName(e.Value.OID())))
 	}
 	return t.g.AddEdge(from, e.Label, to)
-}
-
-// funcOf extracts the Skolem function from a transient node name.
-func funcOf(name string) string {
-	if i := strings.IndexByte(name, '('); i > 0 {
-		return name[:i]
-	}
-	return name
-}
-
-func (r *Renderer) renderOID(g *graph.Graph, oid graph.OID, depth int) (string, error) {
-	if depth > r.maxDepth() {
-		return "", fmt.Errorf("incremental: embedding depth exceeds %d", r.maxDepth())
-	}
-	name := g.NodeName(oid)
-	tpl, ok := r.Templates[funcOf(name)]
-	if !ok {
-		return html.EscapeString(name), nil
-	}
-	env := &template.Env{
-		Graph: g,
-		Self:  oid,
-		Render: func(v graph.Value, opts template.RenderOpts) (string, error) {
-			return r.renderValue(g, v, opts, depth)
-		},
-	}
-	return tpl.ExecuteString(env)
-}
-
-func (r *Renderer) renderValue(g *graph.Graph, v graph.Value, opts template.RenderOpts, depth int) (string, error) {
-	if v.IsNode() {
-		name := g.NodeName(v.OID())
-		fn := funcOf(name)
-		_, templated := r.Templates[fn]
-		isPage := templated && !r.EmbedOnly[fn]
-		if isPage && !opts.Embed {
-			tag := opts.LinkTag
-			if tag == "" {
-				tag = name
-			}
-			return fmt.Sprintf("<a href=%q>%s</a>", r.urlFor(name), html.EscapeString(tag)), nil
-		}
-		if templated {
-			return r.renderOID(g, v.OID(), depth+1)
-		}
-		return html.EscapeString(name), nil
-	}
-	return template.RenderAtom(g, v, opts)
 }

@@ -129,9 +129,13 @@ func (s *Site) Paths() []string {
 type Generator struct {
 	site *graph.Graph
 	cfg  Config
+	// colls are the site graph's collection names, sorted: the order
+	// template selection tries them in.
+	colls []string
 }
 
-// New creates a generator for a site graph.
+// New creates a generator for a site graph. The graph's collections
+// must not change afterwards.
 func New(site *graph.Graph, cfg Config) *Generator {
 	if cfg.HTMLTemplateAttr == "" {
 		cfg.HTMLTemplateAttr = "HTML-template"
@@ -142,7 +146,7 @@ func New(site *graph.Graph, cfg Config) *Generator {
 	if cfg.Templates == nil {
 		cfg.Templates = map[string]*template.Template{}
 	}
-	return &Generator{site: site, cfg: cfg}
+	return &Generator{site: site, cfg: cfg, colls: site.Collections()}
 }
 
 // skolemFunc extracts the Skolem function name from an object name:
@@ -154,10 +158,9 @@ func skolemFunc(name string) string {
 	return name
 }
 
-// associationKeys returns the template-selection keys for an object,
-// in priority order.
-func (g *Generator) associationKeys(oid graph.OID) []string {
-	var keys []string
+// associationKeys appends the template-selection keys for an object
+// to keys, in priority order.
+func (g *Generator) associationKeys(oid graph.OID, keys []string) []string {
 	name := g.site.NodeName(oid)
 	if name != "" {
 		keys = append(keys, name)
@@ -165,7 +168,7 @@ func (g *Generator) associationKeys(oid graph.OID) []string {
 			keys = append(keys, fn)
 		}
 	}
-	for _, c := range g.site.Collections() {
+	for _, c := range g.colls {
 		if g.site.InCollection(c, graph.NodeValue(oid)) {
 			keys = append(keys, c)
 		}
@@ -173,9 +176,12 @@ func (g *Generator) associationKeys(oid graph.OID) []string {
 	return keys
 }
 
-// selectTemplate implements the paper's three selection rules.
+// selectTemplate implements the paper's three selection rules. It runs
+// for every page and every link a render emits, so the keys live in a
+// stack buffer.
 func (g *Generator) selectTemplate(oid graph.OID) (*template.Template, string, bool) {
-	keys := g.associationKeys(oid)
+	var buf [4]string
+	keys := g.associationKeys(oid, buf[:0])
 	// Rule 1 and 3: object-specific, then Skolem function, then
 	// collection associations.
 	// Rule 2: the object's HTML-template attribute takes priority
@@ -291,34 +297,45 @@ func (g *Generator) renderPages(ctx context.Context, site *Site, pageOIDs []grap
 	if p == nil {
 		p = pool.New(g.cfg.Workers)
 	}
+	link := func(oid graph.OID) (string, bool) {
+		path, ok := site.PathOf[oid]
+		return path, ok
+	}
 	return pool.ForEach(pool.WithPhase(ctx, "render"), p, len(pageOIDs), func(_ context.Context, i int) error {
 		oid := pageOIDs[i]
-		htmlText, err := g.renderObject(oid, site, 0)
+		htmlText, err := g.renderObject(oid, link, 0)
 		if err != nil {
 			return fmt.Errorf("sitegen: rendering %s: %w", g.site.DisplayName(oid), err)
 		}
 		pg := site.Pages[site.PathOf[oid]]
 		pg.HTML = htmlText
-		pg.Title = g.titleOf(oid)
+		pg.Title = template.LinkText(g.site, oid)
 		pg.ETag = BytesETag(htmlText)
 		return nil
 	})
 }
 
-// titleOf guesses a page title for diagnostics: the object's title or
-// name attribute, else its node name.
-func (g *Generator) titleOf(oid graph.OID) string {
-	for _, attr := range []string{"title", "name", "Name", "Year"} {
-		if v, ok := g.site.First(oid, attr); ok && v.IsAtom() {
-			return v.Text()
+// linkFunc maps a page object to the URL that links to it use, and
+// reports whether the object is a page at all.
+type linkFunc func(graph.OID) (string, bool)
+
+// RenderPage renders one page object exactly as Generate does, with
+// every page object it links to addressed by url(name). It serves site
+// graphs that hold only what one render reads, such as the click-time
+// renderer's transient graph, where no site-wide path assignment
+// exists.
+func (g *Generator) RenderPage(oid graph.OID, url func(name string) string) (string, error) {
+	return g.renderObject(oid, func(oid graph.OID) (string, bool) {
+		if !g.isPage(oid) {
+			return "", false
 		}
-	}
-	return g.site.DisplayName(oid)
+		return url(g.site.NodeName(oid)), true
+	}, 0)
 }
 
 // renderObject evaluates the object's template with a renderer that
 // resolves references into links or embedded fragments.
-func (g *Generator) renderObject(oid graph.OID, site *Site, depth int) (string, error) {
+func (g *Generator) renderObject(oid graph.OID, link linkFunc, depth int) (string, error) {
 	if depth > g.cfg.MaxEmbedDepth {
 		return "", fmt.Errorf("embedding depth exceeds %d (cycle through %s?)", g.cfg.MaxEmbedDepth, g.site.DisplayName(oid))
 	}
@@ -331,26 +348,27 @@ func (g *Generator) renderObject(oid graph.OID, site *Site, depth int) (string, 
 		Graph: g.site,
 		Self:  oid,
 		Render: func(v graph.Value, opts template.RenderOpts) (string, error) {
-			return g.renderValue(v, opts, site, depth)
+			return g.renderValue(v, opts, link, depth)
 		},
 	}
 	return tpl.ExecuteString(env)
 }
 
 // renderValue implements the reference-rendering rules.
-func (g *Generator) renderValue(v graph.Value, opts template.RenderOpts, site *Site, depth int) (string, error) {
+func (g *Generator) renderValue(v graph.Value, opts template.RenderOpts, link linkFunc, depth int) (string, error) {
 	if v.IsNode() {
 		oid := v.OID()
-		path, isPage := site.PathOf[oid]
-		if isPage && !opts.Embed {
-			tag := opts.LinkTag
-			if tag == "" {
-				tag = g.titleOf(oid)
+		if !opts.Embed {
+			if url, isPage := link(oid); isPage {
+				tag := opts.LinkTag
+				if tag == "" {
+					tag = template.LinkText(g.site, oid)
+				}
+				return fmt.Sprintf("<a href=%q>%s</a>", url, html.EscapeString(tag)), nil
 			}
-			return fmt.Sprintf("<a href=%q>%s</a>", path, html.EscapeString(tag)), nil
 		}
 		// Embedded (by directive or because the object is not a page).
-		return g.renderObject(oid, site, depth+1)
+		return g.renderObject(oid, link, depth+1)
 	}
 	// File atoms may embed their contents.
 	if v.Kind() == graph.KindFile && g.cfg.FileResolver != nil {

@@ -1277,27 +1277,32 @@ func (ev *evaluator) skolemNode(t SkolemTerm, r env) (graph.OID, error) {
 	if id, ok := ev.skolems[string(b)]; ok {
 		return id, nil
 	}
-	args := make([]string, len(t.Args))
+	args := make([]graph.Value, len(t.Args))
 	for i, a := range t.Args {
-		v, _ := resolve(a, r)
-		args[i] = skolemArgKey(ev.in, v)
+		args[i], _ = resolve(a, r)
 	}
-	id := ev.out.NewNode(t.Func + "(" + strings.Join(args, ",") + ")")
+	id := ev.out.NewNode(SkolemName(ev.in, t.Func, args))
 	ev.skolems[string(b)] = id
 	ev.newNodes[id] = true
 	return id, nil
 }
 
-// skolemArgKey renders a Skolem argument. Node arguments use their
-// symbolic name when available so site-graph node names read like the
-// paper's (e.g. PaperPresentation(pub1)).
-func skolemArgKey(g *graph.Graph, v graph.Value) string {
-	if v.IsNode() {
-		if n := g.NodeName(v.OID()); n != "" {
-			return n
+// SkolemName is the symbolic name of the node Skolem function fn
+// creates for args: "F(a1,...)", a node argument by its name in g (when
+// g is set and the node has one), any other value by Value.String.
+// Click-time evaluation names its pages by it too, so both strategies
+// agree on page identity (e.g. PaperPresentation(pub1)).
+func SkolemName(g *graph.Graph, fn string, args []graph.Value) string {
+	parts := make([]string, len(args))
+	for i, v := range args {
+		if g != nil && v.IsNode() {
+			parts[i] = g.NodeName(v.OID())
+		}
+		if parts[i] == "" {
+			parts[i] = v.String()
 		}
 	}
-	return v.String()
+	return fn + "(" + strings.Join(parts, ",") + ")"
 }
 
 func (ev *evaluator) resolveTarget(t LinkTarget, r env) (graph.Value, error) {

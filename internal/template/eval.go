@@ -93,6 +93,22 @@ func RenderAtom(g *graph.Graph, v graph.Value, opts RenderOpts) (string, error) 
 	}
 }
 
+// linkTextLabels are the attributes LinkText reads, in priority order.
+var linkTextLabels = [...]string{"title", "name", "Name", "Year"}
+
+// LinkText is the anchor text of a link to an object that no LINK=
+// directive names, and the title of the object's page: the first value
+// of its title, name, Name or Year attribute, tried in that order and
+// taken when atomic, else the object's display name.
+func LinkText(g *graph.Graph, oid graph.OID) string {
+	for _, label := range linkTextLabels {
+		if v, ok := g.First(oid, label); ok && v.IsAtom() {
+			return v.Text()
+		}
+	}
+	return g.DisplayName(oid)
+}
+
 // Execute renders the template for env.Self, writing plain HTML.
 func (t *Template) Execute(w io.Writer, env *Env) error {
 	if env.Graph == nil {

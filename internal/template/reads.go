@@ -5,9 +5,10 @@ package template
 // child under a label stands for that attribute's values, and its own
 // children are what the template reads of those values in turn. A
 // node with no children means the template uses the values themselves
-// (their names, for link anchors) and nothing reachable from them,
-// unless EMBED marks it: an embedded value renders with its own
-// template, whose read set then applies there.
+// and nothing reachable from them. Values an SFMT may render as links
+// read LinkText's labels for their anchors, unless a literal LINK="..."
+// names the anchor; values EMBED marks render with their own template,
+// whose read set then applies there.
 //
 // The tree follows evaluation exactly: an SFOR variable stands for its
 // expression's node, a path whose first step names a variable in scope
@@ -59,6 +60,12 @@ func addReads(ns []node, root *ReadSet, scope map[string]*ReadSet) {
 			vals := readPath(n.expr, root, scope)
 			if n.embed {
 				vals.embed = true
+			} else if n.linkLit == "" {
+				// A LINK= expression that comes up empty falls back to
+				// LinkText too.
+				for _, label := range linkTextLabels {
+					vals.child(label)
+				}
 			}
 			if len(n.linkExpr) > 0 {
 				readPath(n.linkExpr, root, scope)

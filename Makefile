@@ -69,12 +69,15 @@ crash:
 # incremental vs. from-scratch, byte-identical at workers 1/4/16), the
 # mediated rebuild property test (BibTeX edit scripts through the
 # mediator and Rebuild, pages and ETags equal to a fresh build at
-# workers 1/4), and the provenance suite (on-demand page provenance
-# agrees with the pages selective rebuilds re-render and reuse), all
-# under the race detector, twice.
+# workers 1/4), the provenance suite (on-demand page provenance
+# agrees with the pages selective rebuilds re-render and reuse), and
+# the snapshot test (readers walk a built result's graphs while copies
+# of its data are edited and rebuilt, and the result stays as built),
+# all under the race detector, twice.
 testpar:
 	$(GO) test -race -count=2 ./internal/pool/... ./internal/sitegen/... ./internal/struql/... ./internal/incremental/...
 	$(GO) test -race -count=2 -run 'Deterministic|Parallel|Golden' ./internal/core/ ./examples/...
+	$(GO) test -race -count=2 -run '^TestResultStaysAsBuilt$$' ./internal/core/
 	$(GO) test -race -count=2 -run '^TestPropertyMediatedRebuild$$' .
 	$(GO) test -race -count=2 -run '^TestProvenanceTracksDeltaRebuilds$$' .
 	$(GO) test -race -count=2 -run 'Differential' .

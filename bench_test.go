@@ -675,12 +675,14 @@ func BenchmarkParallelBuild(b *testing.B) {
 }
 
 // BenchmarkDeltaRebuild measures incremental maintenance: touch one
-// object's title on an N-page news site and rebuild, against the full
-// from-scratch build of the same site. The delta path re-evaluates the
+// object's title in a copy of an N-page news site's data, set the copy
+// and rebuild, against the full from-scratch build of the same site.
+// The delta path diffs the two data graphs and re-evaluates the
 // queries (cheap) but re-renders only the touched article's dependency
 // cone, so its advantage is the rendering fraction it skips; the
-// rendered/reused page counts are reported as metrics. A snapshot
-// lives in BENCH_delta.json.
+// rendered/reused page counts are reported as metrics. The copy and
+// the edit run with the timer stopped. A snapshot lives in
+// BENCH_delta.json.
 func BenchmarkDeltaRebuild(b *testing.B) {
 	const n = 500
 	spec := workload.ArticleSpec(false)
@@ -697,12 +699,14 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 				b.Fatal("art7 missing")
 			}
 			touch := func(i int) {
+				data = copyOf(data)
 				if old, ok := data.First(art, "title"); ok {
 					data.RemoveEdge(art, "title", old)
 				}
 				if err := data.AddEdge(art, "title", graph.Str(fmt.Sprintf("Touched title %d", i%2))); err != nil {
 					b.Fatal(err)
 				}
+				cb.SetDataGraph(data)
 			}
 			var rendered, reused float64
 			b.ResetTimer()
@@ -735,11 +739,12 @@ func BenchmarkDeltaRebuild(b *testing.B) {
 }
 
 // BenchmarkIncrementalEval measures an incremental rebuild at scale:
-// touch one publication's title on an N-object site and Rebuild (the
-// queries re-evaluate in full, the site graphs are diffed by name and
-// only the touched cone re-renders), against a full from-scratch build
-// of the same site. The selective arm reports pages rendered vs
-// reused. The partitioned shape is link-structured; the bib shape
+// touch one publication's title in a copy of an N-object site's data,
+// set the copy and Rebuild (the data graphs are diffed, the queries
+// re-evaluate in full, the site graphs are diffed by name and only the
+// touched cone re-renders), against a full from-scratch build of the
+// same site. The copy and the edit run with the timer stopped. The
+// selective arm reports pages rendered vs reused. The partitioned shape is link-structured; the bib shape
 // documents embed-heavy sites, where one touch re-renders an O(site)
 // page. Snapshot: BENCH_incremental_eval.json.
 func BenchmarkIncrementalEval(b *testing.B) {
@@ -766,12 +771,14 @@ func BenchmarkIncrementalEval(b *testing.B) {
 						b.Fatal("pub7 missing")
 					}
 					touch := func(i int) {
+						data = copyOf(data)
 						if old, ok := data.First(pub, "title"); ok {
 							data.RemoveEdge(pub, "title", old)
 						}
 						if err := data.AddEdge(pub, "title", graph.Str(fmt.Sprintf("Touched title %d", i%2))); err != nil {
 							b.Fatal(err)
 						}
+						cb.SetDataGraph(data)
 					}
 					var rendered, reused float64
 					b.ResetTimer()
@@ -1122,12 +1129,14 @@ func BenchmarkLedgerOverhead(b *testing.B) {
 		b.Fatal("art7 missing")
 	}
 	touch := func(i int) {
+		data = copyOf(data)
 		if old, ok := data.First(art, "title"); ok {
 			data.RemoveEdge(art, "title", old)
 		}
 		if err := data.AddEdge(art, "title", graph.Str(fmt.Sprintf("Touched title %d", i%2))); err != nil {
 			b.Fatal(err)
 		}
+		cb.SetDataGraph(data)
 	}
 	led, err := ledger.Open(ledger.Options{Dir: b.TempDir()})
 	if err != nil {

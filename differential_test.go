@@ -160,11 +160,20 @@ func siteDigest(res *core.Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// copyOf copies a data graph a build has read, keeping its OIDs and
+// names: that graph is never edited, the copy takes the edits.
+func copyOf(g *graph.Graph) *graph.Graph {
+	c := g.NewSibling(g.Name())
+	c.Merge(g)
+	return c
+}
+
 // runGraphDifferential drives chained edit-and-rebuild rounds for a
 // site whose data is an explicit graph: mkBuilder configures queries
 // and templates, fresh regenerates the pristine data (same bytes every
-// call), mutate applies one seeded edit burst. Returns the digest of
-// the final site for cross-worker comparison.
+// call), mutate applies one seeded edit burst to a copy of the last
+// round's data. Returns the digest of the final site for cross-worker
+// comparison.
 func runGraphDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.Builder,
 	fresh func() *graph.Graph, mutate func(*testing.T, *graph.Graph, *rand.Rand),
 	workers int, seed0 int64) string {
@@ -180,7 +189,9 @@ func runGraphDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.Build
 	var digest string
 	for round := 0; round < diffRounds; round++ {
 		seed := seed0 + int64(round)
+		cur = copyOf(cur)
 		mutate(t, cur, rand.New(rand.NewSource(seed)))
+		b.SetDataGraph(cur)
 		res, err := b.Rebuild(prev)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)

@@ -87,7 +87,9 @@ func TestETagDeltaEqualsScratch(t *testing.T) {
 	}
 	for round := 0; round < diffRounds; round++ {
 		seed := int64(700 + round)
+		cur = copyOf(cur)
 		mutateBib(t, cur, rand.New(rand.NewSource(seed)))
+		b.SetDataGraph(cur)
 		res, err := b.Rebuild(prev)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -151,7 +153,7 @@ func TestETagExactInvalidation(t *testing.T) {
 		}
 	}
 
-	// One-object edit: retitle a single publication in both replicas.
+	// One-object edit: retitle a single publication in a copy.
 	retitle := func(g *graph.Graph) {
 		pubs := g.Collection("Publications")
 		sort.Slice(pubs, func(i, j int) bool {
@@ -165,7 +167,9 @@ func TestETagExactInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	cur = copyOf(cur)
 	retitle(cur)
+	b.SetDataGraph(cur)
 	res, err := b.Rebuild(prev)
 	if err != nil {
 		t.Fatal(err)

@@ -159,6 +159,24 @@ OUTPUT S`,
 		Templates:      map[string]*template.Template{"F": template.MustParse("F", `<SFMT val DELIM=", ">`)},
 		RootCollection: "Roots",
 	}
+	// Pages that print a data-graph node, which has a name there.
+	dataNode := graph.New("G")
+	for _, row := range []struct{ id, name string }{{"a", "Ann"}, {"b", "Bo"}} {
+		x := dataNode.NewNode(row.id)
+		dataNode.AddToCollection("C", graph.NodeValue(x))
+		dataNode.AddEdge(x, "name", graph.Str(row.name))
+	}
+	dataNodeSpec := &workload.SiteSpec{
+		Name: "data-node",
+		Query: `INPUT G
+WHERE C(x), x -> "name" -> n
+CREATE P(x)
+LINK P(x) -> "name" -> n, P(x) -> "orig" -> x
+COLLECT Roots(P(x))
+OUTPUT S`,
+		Templates:      map[string]*template.Template{"P": template.MustParse("P", `<SFMT name> [<SFMT orig>]`)},
+		RootCollection: "Roots",
+	}
 	shapes := []struct {
 		name  string
 		build func(*testing.T) *core.Builder
@@ -170,6 +188,7 @@ OUTPUT S`,
 		{"org-internal", mediated(workload.OrgSpec(false))},
 		{"org-external", mediated(workload.OrgSpec(true))},
 		{"int-float", withData(intFloatSpec, intFloat)},
+		{"data-node", withData(dataNodeSpec, dataNode)},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -217,10 +236,12 @@ OUTPUT S`,
 				if err != nil {
 					t.Fatal(err)
 				}
+				// A data-graph node is a value on both sides, and any
+				// other node a page, known by its name.
 				static, dynamic := map[string][]string{}, map[string][]string{}
 				for _, e := range res.SiteGraph.Out(pg.OID) {
 					id := "V" + string(e.To.AppendKey(nil))
-					if e.To.IsNode() && res.SiteGraph.NodeName(e.To.OID()) != "" {
+					if e.To.IsNode() && !res.DataGraph.HasNode(e.To.OID()) {
 						id = "P" + res.SiteGraph.NodeName(e.To.OID())
 					}
 					static[e.Label] = append(static[e.Label], id)

@@ -49,12 +49,6 @@ type Builder struct {
 	optimize    bool
 	workers     int
 	telem       *telemetry.Registry
-
-	// Incremental state (dataGraph mode only): the journal of in-place
-	// data-graph mutations and the site whose build last drained it (its
-	// baseline: nil until a Build or Rebuild succeeds after the drain).
-	journal *graph.ChangeLog
-	base    *sitegen.Site
 }
 
 // NewBuilder creates a builder over a memory-only repository.
@@ -113,31 +107,22 @@ func (b *Builder) AddMapping(querySrc string) error {
 }
 
 // SetDataGraph supplies the data graph directly, bypassing wrappers
-// and mediation (useful when the data is already in graph form). The
-// builder journals the graph's mutations from here on, which is what
-// lets Rebuild find what changed since the last build and maintain the
-// site incrementally.
-func (b *Builder) SetDataGraph(g *graph.Graph) {
-	if b.dataGraph != nil {
-		b.dataGraph.Unwatch(b.journal)
-	}
-	b.dataGraph = g
-	b.base = nil
-	b.journal = graph.NewChangeLog()
-	g.Watch(b.journal)
-}
+// and mediation (useful when the data is already in graph form). A
+// graph is never edited once a build has read it. To change the data,
+// edit a copy (g.NewSibling(g.Name()), then Merge(g)) and set that:
+// Rebuild keys on the delta from the previous result's graph to it.
+func (b *Builder) SetDataGraph(g *graph.Graph) { b.dataGraph = g }
 
 // AddQuery appends a site-definition query. Multiple queries compose:
 // they build parts of the same site graph, with stable Skolem
-// identities across them.
+// identities across them. Rebuild builds a result that an earlier
+// query set built from scratch.
 func (b *Builder) AddQuery(src string) error {
 	q, err := struql.Parse(src)
 	if err != nil {
 		return err
 	}
 	b.queries = append(b.queries, q)
-	// A journal baseline describes the old query set.
-	b.base = nil
 	return nil
 }
 
@@ -217,9 +202,10 @@ func (b *Builder) SetTelemetry(reg *telemetry.Registry) {
 // Stats reports what a build did. The phase durations are the
 // durations of the corresponding spans of the build trace (see
 // Result.Trace), so a printed trace timeline and Stats always agree.
-// The one exception is Rebuild's MediationTime: Rebuild mediates
-// before its trace opens, so it times the refresh itself, and that
-// time is not part of TotalTime.
+// The one exception is Rebuild's MediationTime: Rebuild takes the
+// data change (a mediated refresh, or the diff of a graph set with
+// SetDataGraph) before its trace opens, so it times that step itself,
+// and that time is not part of TotalTime.
 type Stats struct {
 	DataNodes, DataEdges int
 	SiteNodes, SiteEdges int
@@ -275,15 +261,41 @@ type Result struct {
 	// that are not range-restricted and therefore range over the
 	// active domain (struql.RangeCheckWith).
 	DomainWarnings []struql.DomainWarning
+	// queries counts the site-definition queries the result was built
+	// with. Queries are only ever appended, so the count names the set.
+	queries int
 }
 
-// buildDataGraph produces the integrated data graph: the explicit one if
-// set, else the mediator's warehouse.
-func (b *Builder) buildDataGraph() (*graph.Graph, error) {
-	if b.dataGraph != nil {
-		return b.dataGraph, nil
+// dataChange produces the data graph to build from, its delta from
+// prevData, and the mediator's refresh report (nil under
+// SetDataGraph). A data graph is never edited once a build has read
+// it, so the delta is exact on both sources. Through the mediator it
+// is the refresh's warehouse delta when the refresh started from
+// prevData, and otherwise, as after a rebuild that failed once its
+// refresh had committed, the diff of the two warehouses. Under
+// SetDataGraph prevData itself has an empty delta, and any other graph
+// its diff. A nil prevData has a nil delta.
+func (b *Builder) dataChange(prevData *graph.Graph) (*graph.Graph, *graph.Delta, *mediator.RefreshReport, error) {
+	if data := b.dataGraph; data != nil {
+		switch prevData {
+		case nil:
+			return data, nil, nil, nil
+		case data:
+			return data, &graph.Delta{}, nil, nil
+		}
+		return data, graph.Diff(prevData, data), nil, nil
 	}
-	return b.med.Refresh()
+	committed, _ := b.med.Warehouse()
+	data, report, err := b.med.RefreshWithReport()
+	switch {
+	case err != nil:
+		return nil, nil, nil, err
+	case prevData == nil:
+		return data, nil, report, nil
+	case committed == prevData && report.Warehouse != nil:
+		return data, report.Warehouse, report, nil
+	}
+	return data, graph.Diff(prevData, data), report, nil
 }
 
 // optimizerContext indexes the data graph and builds the planning
@@ -388,7 +400,7 @@ func (b *Builder) Build() (*Result, error) {
 	res := &Result{Trace: telemetry.NewTrace("build " + b.name)}
 	a0 := telemetry.AllocBytes()
 	med := res.Trace.Root().Child("mediation")
-	data, err := b.buildDataGraph()
+	data, _, report, err := b.dataChange(nil)
 	if err == nil {
 		med.SetAttr("nodes", data.NumNodes())
 		med.SetAttr("edges", data.NumEdges())
@@ -398,15 +410,8 @@ func (b *Builder) Build() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.DataGraph = data
-	if b.dataGraph == nil {
-		res.Refresh = b.med.LastReport()
-	} else {
-		// This build's data is the journal's new baseline once it succeeds.
-		b.journal.Take()
-		b.base = nil
-	}
-	return b.rebuild(res, nil, nil, "")
+	res.DataGraph, res.Refresh = data, report
+	return b.rebuild(res, nil, nil)
 }
 
 // BuildDynamic prepares click-time evaluation instead of full

@@ -6,13 +6,21 @@ import (
 
 	"strudel/internal/datadef"
 	"strudel/internal/graph"
+	"strudel/internal/incremental"
 	"strudel/internal/schema"
 	"strudel/internal/telemetry"
 	"strudel/internal/workload"
 )
 
-// retitle swaps one publication's title in place; the builder's change
-// journal records the edit.
+// copyOf copies a data graph a build has read, keeping its OIDs and
+// names: that graph is never edited, the copy takes the edits.
+func copyOf(g *graph.Graph) *graph.Graph {
+	c := g.NewSibling(g.Name())
+	c.Merge(g)
+	return c
+}
+
+// retitle swaps one publication's title.
 func retitle(t *testing.T, g *graph.Graph, name, newTitle string) {
 	t.Helper()
 	id, ok := g.NodeByName(name)
@@ -33,7 +41,7 @@ func retitle(t *testing.T, g *graph.Graph, name, newTitle string) {
 
 // TestRebuildWithDeltaSelective is the regression guard of the delta
 // pipeline's selective branch: touching one object re-renders only
-// pages the schema analysis of the journaled delta marks affected —
+// pages the schema analysis of the data delta marks affected —
 // verified through the telemetry counters — and the result is
 // byte-identical to a from-scratch build.
 func TestRebuildWithDeltaSelective(t *testing.T) {
@@ -48,7 +56,9 @@ func TestRebuildWithDeltaSelective(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	data = copyOf(data)
 	retitle(t, data, "pub7", "A Fresh Title")
+	b.SetDataGraph(data)
 	res, err := b.Rebuild(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +167,9 @@ OUTPUT Site`
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = copyOf(data)
 	item(data, "a b", "space")
+	b.SetDataGraph(data)
 	res, err := b.Rebuild(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -426,11 +438,12 @@ OUTPUT Site`
 }
 
 // TestRebuildAfterFailedRebuildNamesCause: the rebuild after a failed
-// one has no delta that reaches from the last good result — through
-// the mediator the failed step committed its refresh, under
-// SetDataGraph it drained the change journal. It must render in full,
-// reuse no page, serve the edit, and name that cause in its summary
-// rather than claim there was no previous site.
+// one keys on the delta from the last good result's data to the
+// current data, whichever source it came from: through the mediator
+// the failed step committed its refresh, and under SetDataGraph the
+// edited copy stays set. It must be selective, reuse the page the edit
+// cannot reach, and serve the edit with a scratch build's bytes and
+// tags.
 func TestRebuildAfterFailedRebuildNamesCause(t *testing.T) {
 	const content = `
 collection Publications { }
@@ -481,14 +494,11 @@ OUTPUT Site`
 	check := func(t *testing.T, res *Result) {
 		t.Helper()
 		info := res.Incremental
-		if info == nil || info.Mode != "full" {
-			t.Fatalf("incremental info = %+v, want full", info)
+		if info == nil || info.Mode != "selective" {
+			t.Fatalf("incremental info = %+v (%s), want selective", info, info.Summary())
 		}
-		if info.Site.Reused != 0 {
-			t.Error("a full rebuild must not claim reused pages")
-		}
-		if got, want := info.Summary(), "rebuild: full (no delta baseline)"; got != want {
-			t.Errorf("Summary() = %q, want %q", got, want)
+		if info.Site.Reused != 1 || info.Site.Rendered != 1 {
+			t.Errorf("%s, want Page_pub1 rendered and Page_pub2 reused", info.Summary())
 		}
 		scratch := NewBuilder("scratch")
 		scratch.SetDataGraph(parse(edited))
@@ -530,7 +540,9 @@ OUTPUT Site`
 		if err != nil {
 			t.Fatal(err)
 		}
+		data = copyOf(data)
 		retitle(t, data, "pub1", "Alpha v2")
+		b.SetDataGraph(data)
 		check(t, failThenRebuild(t, b, prev))
 	})
 }
@@ -654,7 +666,7 @@ func TestRebuildVerifySpanRecordsViolations(t *testing.T) {
 	}
 	// With no year left on any publication, the root page links to no
 	// year page.
-	data := prev.DataGraph
+	data := copyOf(prev.DataGraph)
 	for _, pub := range data.Collection("Publications") {
 		for {
 			v, ok := data.First(pub.OID(), "year")
@@ -664,6 +676,7 @@ func TestRebuildVerifySpanRecordsViolations(t *testing.T) {
 			data.RemoveEdge(pub.OID(), "year", v)
 		}
 	}
+	b.SetDataGraph(data)
 	res, err := b.Rebuild(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -695,5 +708,241 @@ func TestRebuildVerifySpanRecordsViolations(t *testing.T) {
 	if attr != len(res.Violations) || events != len(res.Violations) {
 		t.Errorf("%s: verify span has violations=%v and %d violation events, want %d of each",
 			res.Incremental.Mode, attr, events, len(res.Violations))
+	}
+}
+
+// TestRebuildDynamicAdoptsCacheFromDataGraph: under SetDataGraph as
+// through the mediator, the data graph prev renders from returns prev
+// itself, and a title-only edit of a copy carries the cached pages of
+// the classes the delta cannot reach into the new renderer. Every page
+// then renders as a cold renderer over the edited data renders it.
+func TestRebuildDynamicAdoptsCacheFromDataGraph(t *testing.T) {
+	spec := workload.BibliographySpec()
+	builder := func(data *graph.Graph) *Builder {
+		b := NewBuilder("dyn")
+		b.SetDataGraph(data)
+		if err := b.AddQuery(spec.Query); err != nil {
+			t.Fatal(err)
+		}
+		b.AddTemplates(spec.Templates)
+		b.SetEmbedOnly("PaperPresentation")
+		b.SetRootCollection(spec.RootCollection)
+		return b
+	}
+	data := workload.Bibliography(8, 3)
+	b := builder(data)
+	prev, err := b.BuildDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prev.Dec.MaterializeAll(spec.RootCollection); err != nil {
+		t.Fatal(err)
+	}
+	same, err := b.RebuildDynamic(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != prev {
+		t.Fatal("the data graph prev renders from must return prev")
+	}
+
+	data = copyOf(data)
+	retitle(t, data, "pub3", "A Revised Title")
+	b.SetDataGraph(data)
+	next, err := b.RebuildDynamic(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := next.Dec.CachedKeys()
+	if len(kept) == 0 {
+		t.Fatalf("no cached page adopted of %d", len(prev.Dec.CachedKeys()))
+	}
+	for _, key := range kept {
+		if strings.HasPrefix(key, "PaperPresentation") || strings.HasPrefix(key, "AbstractPage") {
+			t.Errorf("affected class entry %s survived the edit", key)
+		}
+	}
+	cold, err := builder(data).BuildDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*incremental.Renderer{next, cold} {
+		if _, err := r.Dec.MaterializeAll(spec.RootCollection); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range cold.Dec.CachedKeys() {
+		want, err := cold.RenderPage(mustResolve(t, cold, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := next.RenderPage(mustResolve(t, next, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s renders differently from a cold renderer:\n got: %q\nwant: %q", key, got, want)
+		}
+	}
+	t.Logf("kept %d of %d cached pages", len(kept), len(prev.Dec.CachedKeys()))
+}
+
+func mustResolve(t *testing.T, r *incremental.Renderer, key string) incremental.PageRef {
+	t.Helper()
+	ref, ok := r.Dec.Resolve(key)
+	if !ok {
+		t.Fatalf("%s does not resolve", key)
+	}
+	return ref
+}
+
+// TestRebuildAfterAddQueryMatchesBuild: a result built before an
+// AddQuery is rebuilt with the new query set on both sources, so the
+// new query's pages appear as a fresh build over the same data has
+// them.
+func TestRebuildAfterAddQueryMatchesBuild(t *testing.T) {
+	const content = `
+collection Publications { }
+object pub1 in Publications { title "Alpha" }
+object pub2 in Publications { title "Beta" }
+`
+	queries := []struct{ query, key, template string }{
+		{`INPUT BIB
+WHERE Publications(x), x -> "title" -> t
+CREATE Page(x)
+LINK Page(x) -> "title" -> t
+OUTPUT Site`, "Page", `<SFMT title>`},
+		{`INPUT BIB
+WHERE Publications(x), x -> "title" -> t
+CREATE Card(x)
+LINK Card(x) -> "title" -> t
+OUTPUT Site`, "Card", `Card: <SFMT title>`},
+	}
+	addQuery := func(b *Builder, i int) {
+		if err := b.AddQuery(queries[i].query); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddTemplate(queries[i].key, queries[i].template); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sources := []struct {
+		name string
+		set  func(b *Builder)
+	}{
+		{"mediator", func(b *Builder) {
+			if err := b.AddSource("bib", "datadef", content); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"data graph", func(b *Builder) {
+			res, err := datadef.Parse("BIB", content)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.SetDataGraph(res.Graph)
+		}},
+	}
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			b := NewBuilder("queries")
+			src.set(b)
+			addQuery(b, 0)
+			prev, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			addQuery(b, 1)
+			res, err := b.Rebuild(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := NewBuilder("queries")
+			src.set(fresh)
+			addQuery(fresh, 0)
+			addQuery(fresh, 1)
+			want, err := fresh.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prev.Site.Pages) != 2 || len(want.Site.Pages) != 4 {
+				t.Fatalf("one query built %d pages and two %d, want 2 and 4", len(prev.Site.Pages), len(want.Site.Pages))
+			}
+			if len(res.Site.Pages) != len(want.Site.Pages) {
+				t.Fatalf("rebuild after AddQuery has %d pages (%s), a fresh build %d",
+					len(res.Site.Pages), res.Incremental.Summary(), len(want.Site.Pages))
+			}
+			for path, wp := range want.Site.Pages {
+				if gp := res.Site.Pages[path]; gp == nil || gp.HTML != wp.HTML || gp.ETag != wp.ETag {
+					t.Errorf("%s: rebuild serves %v, fresh build has %q", path, gp, wp.HTML)
+				}
+			}
+		})
+	}
+}
+
+// TestRebuildNamesDataNodes: a page that prints a data-graph node
+// prints its data-graph name, as click time does, and not its OID,
+// which a source edit renumbers. Prepending a CSV row re-wraps every
+// row under new OIDs: the rebuild reuses the other rows' pages, and
+// its bytes and tags equal a fresh build's.
+func TestRebuildNamesDataNodes(t *testing.T) {
+	const query = `INPUT D
+WHERE People(x), x -> "name" -> n
+CREATE P(x)
+LINK P(x) -> "name" -> n, P(x) -> "orig" -> x
+OUTPUT S`
+	builder := func(text *string) *Builder {
+		b := NewBuilder("names")
+		if err := b.AddSourceFunc("people.csv", "csv", func() (string, error) { return *text, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddQuery(query); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddTemplate("P", `<SFMT name> [<SFMT orig>]`); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	page := func(res *Result, name string) string {
+		t.Helper()
+		for _, p := range res.Site.Pages {
+			if p.Name == name {
+				return p.HTML
+			}
+		}
+		t.Fatalf("no page %s", name)
+		return ""
+	}
+	text := "id,name\na,Ann\nb,Bo\n"
+	b := builder(&text)
+	prev, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := page(prev, "P(a)"); got != "Ann [a]" {
+		t.Errorf("build prints %q, want %q", got, "Ann [a]")
+	}
+	text = "id,name\nz,Zed\na,Ann\nb,Bo\n"
+	res, err := b.Rebuild(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := res.Incremental; info.Mode != "selective" || info.Site.Reused != 2 {
+		t.Errorf("%s, want P(z) rendered and both other pages reused", info.Summary())
+	}
+	fresh := text
+	want, err := builder(&fresh).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Site.Pages) != len(want.Site.Pages) {
+		t.Fatalf("rebuild has %d pages, a fresh build %d", len(res.Site.Pages), len(want.Site.Pages))
+	}
+	for path, wp := range want.Site.Pages {
+		if gp := res.Site.Pages[path]; gp == nil || gp.HTML != wp.HTML || gp.ETag != wp.ETag {
+			t.Errorf("%s: rebuild serves %v, fresh build has %q", path, gp, wp.HTML)
+		}
 	}
 }

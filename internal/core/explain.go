@@ -38,9 +38,9 @@ type Explain struct {
 
 // ExplainData profiles the query stage over an already-integrated data
 // graph. It deliberately does not refresh the mediator: explaining a
-// serving site must not advance its delta baseline (a refresh here
-// would make the next incremental rebuild diff against data the site
-// never rendered).
+// serving site must not advance the warehouse past the data the site
+// renders, or the next rebuild would diff whole warehouses instead of
+// taking its refresh's scoped delta.
 func (b *Builder) ExplainData(data *graph.Graph) (*Explain, error) {
 	qe, err := b.evalQueries(data, nil, b.buildPool(), true, nil)
 	if err != nil {
@@ -73,7 +73,7 @@ func (b *Builder) ExplainData(data *graph.Graph) (*Explain, error) {
 // Explain integrates the data graph (mediating if sources are
 // registered) and profiles the query stage over it.
 func (b *Builder) Explain() (*Explain, error) {
-	data, err := b.buildDataGraph()
+	data, _, _, err := b.dataChange(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -92,8 +92,7 @@ type Provenance struct {
 // Provenance re-runs the site-definition queries over res's data graph
 // with a provenance recorder. Like ExplainData it neither refreshes the
 // mediator nor renders, so a build pays nothing for provenance; each
-// call pays one query stage. Under SetDataGraph the data graph changes
-// in place: take a result's provenance before the next edit.
+// call pays one query stage.
 func (b *Builder) Provenance(res *Result) (*Provenance, error) {
 	rec := struql.NewProvenance()
 	qe, err := b.evalQueries(res.DataGraph, nil, b.buildPool(), false, rec)
@@ -122,8 +121,10 @@ func (p *Provenance) Page(page string) (*sitegen.PageProvenance, bool) {
 	if !ok {
 		return nil, false
 	}
-	// Site-graph OIDs differ between evaluations, names do not; an
-	// unnamed page object is a data-graph node, whose OID is shared.
+	// Skolem OIDs differ between evaluations, names do not. A
+	// data-graph node keeps its OID and its name in every site graph,
+	// so only an unnamed data-graph node is a page object without a
+	// name, and its OID is shared.
 	at := *pg
 	if pg.Name != "" {
 		if at.OID, ok = p.graph.NodeByName(pg.Name); !ok {

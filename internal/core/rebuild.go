@@ -1,14 +1,14 @@
 // Incremental rebuilds (paper Sec. 2.4, Fig. 5): the site is a view
-// kept current over changing data. Rebuild takes the data change since
-// the previous result — the mediator's warehouse delta, or the change
-// journal of a graph set with SetDataGraph — and runs it through one
-// pipeline: the site-definition queries re-run in full, the new site
-// graph is diffed against the previous one by name, and only the pages
-// in the reverse-reachability cone of the touched site objects
-// re-render; the rest are adopted from the previous site by name. A
-// change the schema cannot see is a noop, and a rebuild with no usable
-// change renders in full and names the cause. A full Build is the
-// pipeline's first step: the same body with no previous result.
+// kept current over changing data. A data graph is never edited once a
+// build has read it, so the previous result's data graph and the
+// current one both exist, and Rebuild keys on the delta between them,
+// whichever source they came from. One pipeline runs it: the
+// site-definition queries re-run in full, the new site graph is diffed
+// against the previous one by name, and only the pages in the
+// reverse-reachability cone of the touched site objects re-render; the
+// rest are adopted from the previous site by name. A change the schema
+// cannot see is a noop. A full Build is the pipeline's first step: the
+// same body with no previous result.
 package core
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"strudel/internal/graph"
 	"strudel/internal/incremental"
-	"strudel/internal/mediator"
 	"strudel/internal/optimizer"
 	"strudel/internal/schema"
 	"strudel/internal/sitegen"
@@ -34,10 +33,8 @@ type RebuildInfo struct {
 	// full, only the touched cone re-rendered) or "full" (every page
 	// re-rendered; Site.Reason names the cause).
 	Mode string
-	// Data is the data-graph delta the rebuild keyed on: the mediator's
-	// warehouse delta, or the drained change journal as graph.OpsDelta.
-	// Nil only when there was none to key on (a full rebuild with no
-	// delta baseline or an overflowed journal).
+	// Data is the data-graph delta the rebuild keyed on, from the
+	// previous result's data graph to the new one.
 	Data *graph.Delta
 	// Impact is the delta mapped through the site schema.
 	Impact *schema.Impact
@@ -74,11 +71,7 @@ func (ri *RebuildInfo) Summary() string {
 	case "noop":
 		return "rebuild: noop (data unchanged)"
 	case "full":
-		reason := "no baseline"
-		if ri.Site != nil && ri.Site.Reason != "" {
-			reason = ri.Site.Reason
-		}
-		return "rebuild: full (" + reason + ")"
+		return "rebuild: full (" + ri.Site.Reason + ")"
 	default:
 		s := fmt.Sprintf("rebuild: selective, %d rendered, %d reused", ri.Site.Rendered, ri.Site.Reused)
 		if n := len(ri.Site.PrunedPaths); n > 0 {
@@ -118,70 +111,38 @@ func addCount(c *telemetry.Counter, n int) {
 
 // Rebuild brings prev up to date with the data and rebuilds the site
 // incrementally: only pages the data change can reach re-render. The
-// change comes from one of two places. With the mediator, Rebuild
-// refreshes the sources and keys on the warehouse delta; a delta that
-// does not start at prev's data — a rebuild failed after an earlier
-// refresh committed — is dropped. Under SetDataGraph it drains the
-// graph's change journal, whose baseline is the last successful Build
-// or Rebuild: a prev other than that result, or an overflowed journal,
-// has no usable delta. Without a usable delta the rebuild renders in
-// full and names the cause (RebuildInfo.Summary). A nil prev runs
-// Build. The result is byte-identical to a from-scratch Build over the
-// same data.
+// change is the delta from prev's data graph to the current one
+// (dataChange): through the mediator Rebuild refreshes the sources
+// first, and under SetDataGraph the current graph is the one last set.
+// A nil prev, or one built before the last AddQuery, runs Build. The
+// result is byte-identical to a from-scratch Build over the same data.
 func (b *Builder) Rebuild(prev *Result) (*Result, error) {
-	if prev == nil || prev.Site == nil || prev.SiteGraph == nil {
+	if prev == nil || prev.Site == nil || prev.SiteGraph == nil || prev.queries < len(b.queries) {
 		return b.Build()
 	}
-	if b.dataGraph != nil {
-		ops, ok := b.journal.Take()
-		var delta *graph.Delta
-		cause := ""
-		switch {
-		case prev.Site != b.base:
-			cause = "no delta baseline"
-		case !ok:
-			cause = "journal overflowed"
-		default:
-			delta = graph.OpsDelta(ops)
-		}
-		b.base = nil // the journal is drained: only a success re-anchors it
-		return b.rebuild(b.rebuildResult(b.dataGraph, nil), prev, delta, cause)
-	}
-	// Mediation runs before rebuild opens the rebuild trace, so it is
-	// timed here rather than as a span of it.
+	// The data change runs before rebuild opens the rebuild trace, so it
+	// is timed here rather than as a span of it.
 	t0, a0 := time.Now(), telemetry.AllocBytes()
-	base, _ := b.med.Warehouse()
-	data, report, err := b.med.RefreshWithReport()
+	data, delta, report, err := b.dataChange(prev.DataGraph)
 	if err != nil {
 		return nil, err
 	}
 	medTime, medAlloc := time.Since(t0), telemetry.AllocBytes()-a0
-	delta, cause := report.Warehouse, ""
-	if base != prev.DataGraph || delta == nil {
-		delta, cause = nil, "no delta baseline"
-	}
-	res, err := b.rebuild(b.rebuildResult(data, report), prev, delta, cause)
+	res, err := b.rebuild(&Result{Trace: telemetry.NewTrace("rebuild " + b.name), DataGraph: data, Refresh: report}, prev, delta)
 	if res != nil {
 		res.Stats.MediationTime, res.Stats.MediationAlloc = medTime, medAlloc
 	}
 	return res, err
 }
 
-// rebuildResult opens a rebuild's result, and its trace, over data.
-func (b *Builder) rebuildResult(data *graph.Graph, report *mediator.RefreshReport) *Result {
-	return &Result{Trace: telemetry.NewTrace("rebuild " + b.name), DataGraph: data, Refresh: report}
-}
-
 // rebuild is the one build pipeline. res holds the opened trace, the
 // data graph and the refresh report; prev is the result to bring up to
 // date, or nil for a full build, which renders every page and reports
-// no RebuildInfo. delta is the data change since prev; a non-empty
-// cause names why the rebuild must render in full instead. The queries
+// no RebuildInfo. delta is the data change since prev. The queries
 // re-run in full and the new site graph is diffed against prev's by
 // name: the pages in the reverse-reachability cone of the touched site
-// objects re-render, and the rest are adopted. A success under
-// SetDataGraph is the journal's new baseline.
-func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, cause string) (out *Result, err error) {
+// objects re-render, and the rest are adopted.
+func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta) (*Result, error) {
 	tr, data := res.Trace, res.DataGraph
 	pl := b.buildPool()
 	a0 := telemetry.AllocBytes()
@@ -190,10 +151,8 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, cause string) (
 		res.Stats.TotalTime = tr.Duration()
 		res.Stats.TotalAlloc = res.Stats.MediationAlloc + telemetry.AllocBytes() - a0
 		res.BuiltAt = time.Now()
-		if err == nil && b.dataGraph != nil {
-			b.base = out.Site
-		}
 	}()
+	res.queries = len(b.queries)
 	tr.Root().SetAttr("site", b.name)
 	tr.Root().SetAttr("workers", pl.Workers())
 
@@ -211,7 +170,7 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, cause string) (
 
 	// Nothing the schema can see changed: the site graph — a function of
 	// the data graph and the queries — is provably the previous one.
-	if prev != nil && cause == "" && info.Impact.Empty() {
+	if prev != nil && info.Impact.Empty() {
 		info.Mode = "noop"
 		res.SiteGraph, res.Site = prev.SiteGraph, prev.Site
 		res.Violations, res.DomainWarnings = prev.Violations, prev.DomainWarnings
@@ -253,9 +212,8 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, cause string) (
 	aVerify := telemetry.AllocBytes()
 	res.Stats.VerifyAlloc = aVerify - aQuery
 
-	// A nil cone asks the generator for a full render.
 	var cone map[graph.OID]struct{}
-	if prev != nil && cause == "" {
+	if prev != nil {
 		// Diff compares edges and memberships by name, so an object
 		// outside the cone of the added and changed keys kept its name,
 		// template and path: the cone contract holds for a re-evaluated
@@ -290,9 +248,6 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, cause string) (
 	}
 	res.Site = htmlSite
 	if info != nil {
-		if cause != "" {
-			dstats.Reason = cause
-		}
 		info.Site = dstats
 		info.Invalidated = invalidatedPaths(prev.Site, htmlSite)
 		info.Mode = "selective"
@@ -313,14 +268,11 @@ func (b *Builder) rebuild(res, prev *Result, delta *graph.Delta, cause string) (
 	return res, nil
 }
 
-// RebuildDynamic refreshes the mediated data graph and returns a
-// renderer for click-time evaluation, carrying over the previous
-// renderer's page cache for classes the refresh delta cannot affect.
-// When the refresh kept the warehouse prev renders from, prev itself
-// is returned. A nil prev, no delta baseline, or a delta that does not
-// start at prev's data (a rebuild failed after an earlier refresh
-// committed) builds a fresh (cold-cache) renderer, and so does every
-// call under SetDataGraph.
+// RebuildDynamic returns a renderer for click-time evaluation over the
+// current data graph (dataChange), carrying over the previous
+// renderer's page cache for the classes the data delta cannot affect.
+// When the data graph is the one prev renders from, prev itself is
+// returned. A nil prev builds a renderer with a cold cache.
 func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Renderer, error) {
 	if len(b.queries) != 1 {
 		return nil, fmt.Errorf("core: dynamic evaluation needs exactly one site-definition query, have %d", len(b.queries))
@@ -328,26 +280,19 @@ func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Rende
 	if b.rootColl == "" {
 		return nil, fmt.Errorf("core: dynamic evaluation needs SetRootCollection")
 	}
-	data := b.dataGraph
-	var delta *graph.Delta
-	if data == nil {
-		base, _ := b.med.Warehouse()
-		fresh, report, err := b.med.RefreshWithReport()
-		if err != nil {
-			return nil, err
-		}
-		if prev != nil && fresh == prev.Dec.Input() {
-			// The refresh re-validated the data as unchanged: the content is
-			// current as of now, even though nothing was recomputed.
-			prev.BuiltAt = time.Now()
-			return prev, nil
-		}
-		data = fresh
-		if prev != nil && base == prev.Dec.Input() {
-			delta = report.Warehouse
-		}
-	} else {
-		prev = nil // under SetDataGraph every renderer starts cold
+	var prevData *graph.Graph
+	if prev != nil {
+		prevData = prev.Dec.Input()
+	}
+	data, delta, _, err := b.dataChange(prevData)
+	if err != nil {
+		return nil, err
+	}
+	if prev != nil && data == prevData {
+		// The data is re-validated as unchanged: the content is current
+		// as of now, even though nothing was recomputed.
+		prev.BuiltAt = time.Now()
+		return prev, nil
 	}
 	dec := incremental.Decompose(b.queries[0], data, b.Registry())
 	dec.UsePool(b.buildPool())
@@ -358,9 +303,7 @@ func (b *Builder) RebuildDynamic(prev *incremental.Renderer) (*incremental.Rende
 	adopted := 0
 	if prev != nil {
 		r.URLFor, r.MaxDepth = prev.URLFor, prev.MaxDepth
-		if delta != nil {
-			adopted = dec.AdoptCache(prev.Dec, schema.Analyze(dec.Schema(), delta))
-		}
+		adopted = dec.AdoptCache(prev.Dec, schema.Analyze(dec.Schema(), delta))
 	}
 	r.BuiltAt = time.Now()
 	if b.telem != nil {

@@ -39,8 +39,6 @@ type Graph struct {
 	colls   map[string]*collection
 	// edgeCount caches the total number of edges for Stats.
 	edgeCount int
-	// watchers receive a journal entry for every mutation (changelog.go).
-	watchers []*ChangeLog
 }
 
 type nodeData struct {
@@ -91,6 +89,32 @@ func (g *Graph) NewSibling(name string) *Graph {
 	return newGraph(name, g.alloc)
 }
 
+// Merge copies src's nodes, edges and collections into g, keeping
+// their OIDs and creation names (NodeName), so the two graphs must
+// share an OID space.
+// What g already has stays: merged sources union, and a name g has
+// bound keeps its node. Merged into an empty sibling
+// (src.NewSibling(src.Name())), src is copied: a graph a build has
+// read is never edited, and a copy takes the edits instead.
+func (g *Graph) Merge(src *Graph) {
+	ids := src.Nodes()
+	for _, id := range ids {
+		g.AddNode(id, src.NodeName(id))
+	}
+	for _, id := range ids {
+		for _, e := range src.Out(id) {
+			// Duplicate edges are ignored by AddEdge.
+			_ = g.AddEdge(e.From, e.Label, e.To)
+		}
+	}
+	for _, c := range src.Collections() {
+		g.DeclareCollection(c)
+		for _, v := range src.Collection(c) {
+			g.AddToCollection(c, v)
+		}
+	}
+}
+
 func newGraph(name string, alloc *oidAllocator) *Graph {
 	return &Graph{
 		name:  name,
@@ -120,7 +144,6 @@ func (g *Graph) NewNode(name string) OID {
 	if name != "" {
 		g.names[name] = id
 	}
-	g.logOp(Op{Kind: OpAddNode, Node: id, Name: name})
 	return id
 }
 
@@ -134,7 +157,6 @@ func (g *Graph) AddNode(id OID, name string) {
 	_, present := g.nodes[id]
 	if !present {
 		g.nodes[id] = &nodeData{name: name}
-		g.logOp(Op{Kind: OpAddNode, Node: id, Name: name})
 	}
 	if name != "" {
 		if _, bound := g.names[name]; !bound {
@@ -271,13 +293,11 @@ func (g *Graph) AddEdge(from OID, label string, to Value) error {
 		if tn == nil {
 			tn = &nodeData{}
 			g.nodes[to.OID()] = tn
-			g.logOp(Op{Kind: OpAddNode, Node: to.OID()})
 		}
 		tn.in = append(tn.in, Edge{From: from, Label: label, To: to})
 	}
 	nd.out = append(nd.out, Edge{From: from, Label: label, To: to})
 	g.edgeCount++
-	g.logOp(Op{Kind: OpAddEdge, Edge: Edge{From: from, Label: label, To: to}, Name: nd.name})
 	return nil
 }
 
@@ -412,23 +432,18 @@ func (g *Graph) AddToCollection(name string, v Value) {
 	if !ok {
 		c = &collection{seen: make(map[Value]struct{})}
 		g.colls[name] = c
-		g.logOp(Op{Kind: OpNewCollection, Coll: name})
 	}
 	if _, dup := c.seen[v]; dup {
 		return
 	}
 	c.seen[v] = struct{}{}
 	c.members = append(c.members, v)
-	var mname string
 	if v.IsNode() {
 		g.alloc.reserve(v.OID())
 		if _, present := g.nodes[v.OID()]; !present {
 			g.nodes[v.OID()] = &nodeData{}
-			g.logOp(Op{Kind: OpAddNode, Node: v.OID()})
 		}
-		mname = g.nameOfLocked(v.OID())
 	}
-	g.logOp(Op{Kind: OpAddMember, Coll: name, Member: v, Name: mname})
 }
 
 // DeclareCollection ensures a (possibly empty) collection exists.
@@ -437,7 +452,6 @@ func (g *Graph) DeclareCollection(name string) {
 	defer g.mu.Unlock()
 	if _, ok := g.colls[name]; !ok {
 		g.colls[name] = &collection{seen: make(map[Value]struct{})}
-		g.logOp(Op{Kind: OpNewCollection, Coll: name})
 	}
 }
 

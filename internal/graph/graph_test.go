@@ -435,3 +435,69 @@ func TestEachOut(t *testing.T) {
 		return true
 	})
 }
+
+// TestMergeCopiesAndUnions: merged into an empty sibling, a graph is
+// copied with its OIDs, names, edge order and collections, and edits
+// to the copy leave the original as it was. Merged into a graph that
+// has objects already, it unions, and a bound name keeps its node.
+func TestMergeCopiesAndUnions(t *testing.T) {
+	g := New("G")
+	a, b := g.NewNode("a"), g.NewNode("b")
+	anon := g.NewNode("")
+	g.AddEdge(a, "title", Str("A"))
+	g.AddEdge(a, "see", NodeValue(b))
+	g.AddEdge(a, "author", Str("Ann"))
+	g.AddEdge(b, "see", NodeValue(anon))
+	g.AddToCollection("C", NodeValue(b))
+	g.AddToCollection("C", NodeValue(a))
+	g.AddToCollection("C", Int(5))
+	g.DeclareCollection("Empty")
+	before := g.DumpString()
+
+	c := g.NewSibling(g.Name())
+	c.Merge(g)
+	if got := c.DumpString(); got != before {
+		t.Fatalf("copy dumps\n%s\nwant\n%s", got, before)
+	}
+	for _, id := range g.Nodes() {
+		if c.NodeName(id) != g.NodeName(id) || c.Key(id) != g.Key(id) {
+			t.Errorf("&%d: copy names it %q (key %s), the graph %q (key %s)",
+				id, c.NodeName(id), c.Key(id), g.NodeName(id), g.Key(id))
+		}
+		if got, want := c.Out(id), g.Out(id); len(got) != len(want) {
+			t.Errorf("&%d: copy has %d out-edges, the graph %d", id, len(got), len(want))
+		} else {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("&%d: out-edge %d is %v in the copy, %v in the graph", id, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if got, want := c.Collection("C"), g.Collection("C"); len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Errorf("copy's collection C is %v, want %v", got, want)
+	}
+	if !c.HasCollection("Empty") {
+		t.Error("copy lost the empty collection")
+	}
+
+	c.RemoveEdge(a, "title", Str("A"))
+	c.AddEdge(a, "title", Str("A2"))
+	c.RemoveNode(b)
+	if c.NewNode("d") == c.NewNode("") {
+		t.Fatal("fresh nodes share an OID")
+	}
+	if got := g.DumpString(); got != before {
+		t.Errorf("editing the copy changed the graph:\n%s", got)
+	}
+
+	u := g.NewSibling("U")
+	other := u.NewNode("a")
+	u.Merge(g)
+	if id, _ := u.NodeByName("a"); id != other {
+		t.Errorf("merge rebound name a to &%d, want &%d", id, other)
+	}
+	if !u.HasNode(a) || !u.HasNode(other) || u.NumEdges() != g.NumEdges() {
+		t.Errorf("union has nodes %v and %d edges, want both a's and %d edges", u.Nodes(), u.NumEdges(), g.NumEdges())
+	}
+}

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // RemoveEdge deletes the edge (from, label, to) if present, keeping the
 // remaining out-edges in their original order and the target's reverse
 // adjacency consistent. It reports whether an edge was removed.
@@ -34,7 +32,6 @@ func (g *Graph) RemoveEdge(from OID, label string, to Value) bool {
 			}
 		}
 	}
-	g.logOp(Op{Kind: OpRemoveEdge, Edge: Edge{From: from, Label: label, To: to}, Name: nd.name})
 	return true
 }
 
@@ -55,7 +52,6 @@ func (g *Graph) RemoveNode(id OID) bool {
 				tn.in = dropIn(tn.in, id, "")
 			}
 		}
-		g.logOp(Op{Kind: OpRemoveEdge, Edge: e, Name: nd.name})
 	}
 	g.edgeCount -= len(nd.out)
 	// In-edges: drop the forward edge on each source node.
@@ -69,7 +65,6 @@ func (g *Graph) RemoveNode(id OID) bool {
 			for _, oe := range sn.out {
 				if oe.To.IsNode() && oe.To.OID() == id {
 					removed++
-					g.logOp(Op{Kind: OpRemoveEdge, Edge: oe, Name: sn.name})
 					continue
 				}
 				kept = append(kept, oe)
@@ -86,22 +81,13 @@ func (g *Graph) RemoveNode(id OID) bool {
 	}
 	delete(g.aliases, id)
 	v := NodeValue(id)
-	// Deterministic membership-removal order for journal consumers.
-	cnames := make([]string, 0, len(g.colls))
-	for cn := range g.colls {
-		cnames = append(cnames, cn)
-	}
-	sort.Strings(cnames)
-	for _, cn := range cnames {
-		c := g.colls[cn]
+	for _, c := range g.colls {
 		if _, member := c.seen[v]; member {
 			delete(c.seen, v)
 			c.members = dropValue(c.members, v)
-			g.logOp(Op{Kind: OpRemoveMember, Coll: cn, Member: v, Name: nd.name})
 		}
 	}
 	delete(g.nodes, id)
-	g.logOp(Op{Kind: OpRemoveNode, Node: id, Name: nd.name})
 	return true
 }
 
@@ -120,11 +106,6 @@ func (g *Graph) RemoveFromCollection(name string, v Value) bool {
 	}
 	delete(c.seen, v)
 	c.members = dropValue(c.members, v)
-	var mname string
-	if v.IsNode() {
-		mname = g.nameOfLocked(v.OID())
-	}
-	g.logOp(Op{Kind: OpRemoveMember, Coll: name, Member: v, Name: mname})
 	return true
 }
 

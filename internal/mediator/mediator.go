@@ -482,7 +482,7 @@ func (m *Mediator) RefreshWithReport() (*graph.Graph, *RefreshReport, error) {
 	wh := db.Sibling(m.warehouse)
 	for _, s := range m.sources {
 		if s.Mode == Merge {
-			mergeInto(wh, use[s.Name])
+			wh.Merge(use[s.Name])
 		}
 	}
 	// Apply GAV mappings. Their failures are configuration or query
@@ -638,24 +638,4 @@ func observeRefresh(met *medMetrics, r *RefreshReport, failed bool) {
 // Warehouse returns the current warehouse graph, if Refresh has run.
 func (m *Mediator) Warehouse() (*graph.Graph, bool) {
 	return m.repo.Graph(m.warehouse)
-}
-
-// mergeInto copies src into dst verbatim. The graphs share the
-// repository database's OID space, so identity is preserved.
-func mergeInto(dst, src *graph.Graph) {
-	for _, id := range src.Nodes() {
-		dst.AddNode(id, src.NodeName(id))
-	}
-	for _, id := range src.Nodes() {
-		for _, e := range src.Out(id) {
-			// Duplicate edges are ignored by AddEdge.
-			_ = dst.AddEdge(e.From, e.Label, e.To)
-		}
-	}
-	for _, c := range src.Collections() {
-		dst.DeclareCollection(c)
-		for _, v := range src.Collection(c) {
-			dst.AddToCollection(c, v)
-		}
-	}
 }

@@ -46,7 +46,7 @@ func (m *Mediator) VirtualQuery(q *struql.Query) (*struql.Result, error) {
 		}
 		srcGraphs[s.Name] = g
 		if s.Mode == Merge {
-			mergeInto(view, g)
+			view.Merge(g)
 		}
 	}
 	for _, mq := range mappings {

@@ -29,10 +29,8 @@ type DeltaStats struct {
 	// sorted; SyncTo removes the corresponding files.
 	PrunedPaths []string
 	// Full is set when adoption was not provably safe and every page
-	// rendered. Reason says why: "no previous site", "no change set",
-	// "unnamed page object", "path collision" or "path shift for
-	// <page>". A caller that asked for the full render (nil cone) may
-	// replace it with its own cause.
+	// rendered. Reason says why: "no previous site", "unnamed page
+	// object", "path collision" or "path shift for <page>".
 	Full   bool
 	Reason string
 }
@@ -58,10 +56,9 @@ type DeltaStats struct {
 //
 // When name-keyed adoption is not provably safe, every page renders
 // exactly as Generate would and DeltaStats.Full names the reason: no
-// previous site, a nil cone (the caller knows no change set), an
-// unnamed page object, a path collision in prev or in the new
-// assignment (suffixes follow OID order), or a cone page whose path
-// moved (links to it in adopted pages would go stale).
+// previous site, an unnamed page object, a path collision in prev or
+// in the new assignment (suffixes follow OID order), or a cone page
+// whose path moved (links to it in adopted pages would go stale).
 func (g *Generator) Regenerate(ctx context.Context, prev *Site, cone map[graph.OID]struct{}) (*Site, *DeltaStats, error) {
 	st := &DeltaStats{}
 	site, render, reason := g.adopt(prev, cone)
@@ -90,8 +87,6 @@ func (g *Generator) adopt(prev *Site, cone map[graph.OID]struct{}) (*Site, []gra
 	switch {
 	case prev == nil:
 		return nil, nil, "no previous site"
-	case cone == nil:
-		return nil, nil, "no change set"
 	case prev.Collisions != 0:
 		return nil, nil, "path collision"
 	}

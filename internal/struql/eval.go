@@ -1148,9 +1148,7 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 		if err != nil {
 			return err
 		}
-		if to.IsNode() && ev.newNodes[to.OID()] {
-			ev.recordProv(b, to.OID(), r)
-		}
+		ev.reach(b, to, r)
 		if err := ev.out.AddEdge(from.OID(), label, to); err != nil {
 			return err
 		}
@@ -1160,12 +1158,25 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 		if err != nil {
 			return err
 		}
-		if v.IsNode() && ev.newNodes[v.OID()] {
-			ev.recordProv(b, v.OID(), r)
-		}
+		ev.reach(b, v, r)
 		ev.out.AddToCollection(c.Collection, v)
 	}
 	return nil
+}
+
+// reach prepares the target of a link or collect. A node this
+// evaluation created records the row's provenance. Any other node,
+// such as a data-graph node, joins the output under its input name,
+// so the output names it as the input does and not by its OID, which
+// differs from one wrap of a source to the next.
+func (ev *evaluator) reach(b *Block, v graph.Value, r env) {
+	switch {
+	case !v.IsNode():
+	case ev.newNodes[v.OID()]:
+		ev.recordProv(b, v.OID(), r)
+	default:
+		ev.out.AddNode(v.OID(), ev.in.NodeName(v.OID()))
+	}
 }
 
 // recordProv forwards one construction touch to the provenance

@@ -123,9 +123,9 @@ func TestExplainOptimizerAcrossSites(t *testing.T) {
 // reachability from the changed objects) must agree exactly.
 //
 // The site diff starts at an independent scratch build of the pre-edit
-// data, not at the rebuilder's own previous site graph. The data graph
-// changes in place, so each result's provenance is taken before the
-// next edit. checked accumulates the rendered and reused pages checked.
+// data, not at the rebuilder's own previous site graph. Each round
+// edits copies of both sides' data. checked accumulates the rendered
+// and reused pages checked.
 func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.Builder,
 	fresh func() *graph.Graph, mutate func(*testing.T, *graph.Graph, *rand.Rand),
 	seed0 int64, checked *[2]int) {
@@ -155,13 +155,17 @@ func runProvenanceDifferential(t *testing.T, mkBuilder func(t *testing.T) *core.
 		if err != nil {
 			t.Fatal(err)
 		}
+		cur = copyOf(cur)
 		mutate(t, cur, rand.New(rand.NewSource(seed)))
+		b.SetDataGraph(cur)
 		delta := graph.Diff(old, cur)
 		res, err := b.Rebuild(prev)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		old = copyOf(old)
 		mutate(t, old, rand.New(rand.NewSource(seed)))
+		scratch.SetDataGraph(old)
 		resProv := provenance(b, res)
 		mode := res.Incremental.Mode
 		if mode != "selective" {

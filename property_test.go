@@ -182,9 +182,10 @@ func compareResultsErr(got, want *core.Result) error {
 	return nil
 }
 
-// runScript chains one incremental rebuild per op and compares the end
-// state against a from-scratch build over identically edited data.
-// Returns nil when the property holds.
+// runScript chains one incremental rebuild per op, each over an edited
+// copy of the previous op's data, and compares the end state against a
+// from-scratch build over identically edited data. Returns nil when
+// the property holds.
 func runScript(t *testing.T, mk func(t *testing.T) *core.Builder,
 	fresh func() *graph.Graph, apply func(*graph.Graph, editOp),
 	script editScript, workers int) error {
@@ -198,7 +199,9 @@ func runScript(t *testing.T, mk func(t *testing.T) *core.Builder,
 		t.Fatal(err) // configuration error, not a property failure
 	}
 	for i, op := range script {
+		cur = copyOf(cur)
 		apply(cur, op)
+		b.SetDataGraph(cur)
 		res, err := b.Rebuild(prev)
 		if err != nil {
 			return fmt.Errorf("op %d: rebuild: %v", i, err)

@@ -1,12 +1,12 @@
 package strudel_test
 
-// Soak test for incremental maintenance: one warehouse, hundreds of
-// sequential random edits, one incremental rebuild per edit, never a
-// fresh builder. Periodic checkpoints rebuild the identically edited
-// data from scratch and require byte-identical pages and site-graph
-// dump — so state carried across rebuilds (adopted pages, the journal
-// baseline, the ledger) that drifts slowly is caught within one
-// checkpoint window of where it went wrong. `make soak` runs the full
+// Soak test for incremental maintenance: one builder, hundreds of
+// sequential random edits, each to a copy of the previous data, one
+// incremental rebuild per edit, never a fresh builder. Periodic
+// checkpoints rebuild the identically edited data from scratch and
+// require byte-identical pages and site-graph dump — so state carried
+// across rebuilds (adopted pages, ETags, the ledger) that drifts slowly
+// is caught within one checkpoint window of where it went wrong. `make soak` runs the full
 // 500 edits under the race detector; -short keeps a CI-sized slice of
 // it.
 
@@ -53,7 +53,9 @@ func TestSoakDifferential(t *testing.T) {
 	for i := 1; i <= edits; i++ {
 		op := editOp{Kind: rng.Intn(5), Seed: rng.Int63()}
 		script = append(script, op)
+		cur = copyOf(cur)
 		applyBibOp(cur, op)
+		b.SetDataGraph(cur)
 		observed := time.Now()
 		res, err := b.Rebuild(prev)
 		if err != nil {

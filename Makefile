@@ -70,14 +70,17 @@ crash:
 # mediated rebuild property test (BibTeX edit scripts through the
 # mediator and Rebuild, pages and ETags equal to a fresh build at
 # workers 1/4), the provenance suite (on-demand page provenance
-# agrees with the pages selective rebuilds re-render and reuse), and
-# the snapshot test (readers walk a built result's graphs while copies
-# of its data are edited and rebuilt, and the result stays as built),
-# all under the race detector, twice.
+# agrees with the pages selective rebuilds re-render and reuse), the
+# snapshot test (readers walk a built result's graphs while copies of
+# its data are edited and rebuilt, and the result stays as built) and
+# its mediator-path variant (readers walk a built result's warehouse
+# and source graphs while refreshes re-wrap sources into warehouses
+# that share their records), all under the race detector, twice.
 testpar:
 	$(GO) test -race -count=2 ./internal/pool/... ./internal/sitegen/... ./internal/struql/... ./internal/incremental/...
 	$(GO) test -race -count=2 -run 'Deterministic|Parallel|Golden' ./internal/core/ ./examples/...
 	$(GO) test -race -count=2 -run '^TestResultStaysAsBuilt$$' ./internal/core/
+	$(GO) test -race -count=2 -run '^TestResultStaysAsBuiltMediated$$' ./internal/core/
 	$(GO) test -race -count=2 -run '^TestPropertyMediatedRebuild$$' .
 	$(GO) test -race -count=2 -run '^TestProvenanceTracksDeltaRebuilds$$' .
 	$(GO) test -race -count=2 -run 'Differential' .

@@ -109,8 +109,10 @@ func (b *Builder) AddMapping(querySrc string) error {
 // SetDataGraph supplies the data graph directly, bypassing wrappers
 // and mediation (useful when the data is already in graph form). A
 // graph is never edited once a build has read it. To change the data,
-// edit a copy (g.NewSibling(g.Name()), then Merge(g)) and set that:
-// Rebuild keys on the delta from the previous result's graph to it.
+// edit a copy (g.NewSibling(g.Name()), then Merge(g), which shares g's
+// records copy-on-write) and set that: Rebuild keys on the delta from
+// the previous result's graph to it, which reads only the records the
+// two graphs do not share.
 func (b *Builder) SetDataGraph(g *graph.Graph) { b.dataGraph = g }
 
 // AddQuery appends a site-definition query. Multiple queries compose:

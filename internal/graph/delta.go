@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -212,9 +214,143 @@ func (s *objSnap) addMember(coll string) {
 
 // Diff computes the object-level delta from old to new. A nil old graph
 // yields a delta in which every object of new is added; a nil new graph
-// marks every object of old removed.
+// marks every object of old removed. Graphs that share records (new is
+// a copy of old, or both merged the same sources; see Merge) are
+// diffed over what they do not share (sharedScope), so the cost is
+// that of what differs; graphs that share no record take the full
+// diff.
 func Diff(old, new *Graph) *Delta {
+	if old == new && old != nil {
+		return &Delta{} // and sharedScope must not lock one graph twice
+	}
+	if old != nil && new != nil {
+		if scope := sharedScope(old, new); scope != nil {
+			return DiffScope(old, new, scope)
+		}
+	}
 	return DiffScope(old, new, nil)
+}
+
+// sharedScope returns a scope that covers every object and collection
+// whose canonical form differs between two graphs that share records,
+// or nil when they share none. A node whose record both graphs share
+// has the same out-edges in both, and a shared collection record the
+// same members, so only three things can differ:
+//   - the nodes whose records differ, present on one side included;
+//   - a node whose key moved, and with it every node with an edge into
+//     it on either side and every collection holding it. A key reads
+//     the node's alias and whether its creation name is bound to it, so
+//     it can move only where the two graphs' alias or name tables
+//     differ;
+//   - a collection whose record differs, and the nodes that joined or
+//     left it.
+//
+// Both graphs are read-locked in graph-id order, as Merge locks them.
+func sharedScope(old, new *Graph) *Scope {
+	first, second := inIDOrder(old, new)
+	first.mu.RLock()
+	defer first.mu.RUnlock()
+	second.mu.RLock()
+	defer second.mu.RUnlock()
+
+	if !sharesRecords(old, new) {
+		return nil
+	}
+	objs, colls := map[string]struct{}{}, map[string]struct{}{}
+	addKeys := func(id OID) {
+		for _, g := range [...]*Graph{old, new} {
+			if _, ok := g.nodes[id]; ok {
+				objs[g.keyLocked(id)] = struct{}{}
+			}
+		}
+	}
+	for id, nd := range new.nodes {
+		if old.nodes[id] != nd {
+			addKeys(id)
+		}
+	}
+	for id := range old.nodes {
+		if _, ok := new.nodes[id]; !ok {
+			addKeys(id)
+		}
+	}
+
+	moved := map[OID]struct{}{}
+	for _, p := range [...]struct{ a, b *Graph }{{old, new}, {new, old}} {
+		for id, alias := range p.a.aliases {
+			if other, ok := p.b.aliases[id]; !ok || other != alias {
+				moved[id] = struct{}{}
+			}
+		}
+		for name, id := range p.a.names {
+			if other, ok := p.b.names[name]; !ok || other != id {
+				moved[id] = struct{}{}
+				if ok {
+					moved[other] = struct{}{}
+				}
+			}
+		}
+	}
+	for id := range moved {
+		on, inOld := old.nodes[id]
+		nn, inNew := new.nodes[id]
+		if !inOld || !inNew || old.keyLocked(id) == new.keyLocked(id) {
+			continue // an added or removed node is in scope already
+		}
+		addKeys(id)
+		v := NodeValue(id)
+		for _, side := range [...]struct {
+			g  *Graph
+			nd *nodeData
+		}{{old, on}, {new, nn}} {
+			for _, e := range side.nd.in {
+				addKeys(e.From)
+			}
+			for name, c := range side.g.colls {
+				if _, member := c.seen[v]; member {
+					colls[name] = struct{}{}
+				}
+			}
+		}
+	}
+
+	for _, p := range [...]struct{ a, b *Graph }{{old, new}, {new, old}} {
+		for name, c := range p.a.colls {
+			other := p.b.colls[name]
+			if other == c {
+				continue
+			}
+			colls[name] = struct{}{}
+			for _, v := range c.members {
+				if !v.IsNode() {
+					continue
+				}
+				if other != nil {
+					if _, member := other.seen[v]; member {
+						continue
+					}
+				}
+				addKeys(v.OID())
+			}
+		}
+	}
+	return &Scope{Objects: slices.Collect(maps.Keys(objs)), Collections: slices.Collect(maps.Keys(colls))}
+}
+
+// sharesRecords reports whether two graphs share any node or
+// collection record. Caller holds both graphs' locks.
+func sharesRecords(a, b *Graph) bool {
+	for id, nd := range a.nodes {
+		if b.nodes[id] == nd {
+			return true
+		}
+	}
+	for name, c := range a.colls {
+		if b.colls[name] == c {
+			return true
+		}
+	}
+	return false
 }
 
 // DiffScope computes the part of Diff(old, new) that concerns the

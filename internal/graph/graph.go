@@ -2,9 +2,12 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Edge is one labeled directed edge. From is always a node; To may be
@@ -21,12 +24,15 @@ func (e Edge) String() string {
 
 // Graph is one labeled directed graph: a set of nodes, labeled edges,
 // and named collections of objects. Graphs belonging to the same
-// Database share an OID space and may share objects. All methods are
-// safe for concurrent use.
+// Database share an OID space and may share objects, and Merge shares
+// node and collection records between them copy-on-write. All methods
+// are safe for concurrent use.
 type Graph struct {
 	mu    sync.RWMutex
 	name  string
 	alloc *oidAllocator
+	// id orders the locks of two graphs that one call holds (inIDOrder).
+	id uint64
 
 	nodes map[OID]*nodeData
 	// names maps a symbolic node name ("pub1", "RootPage()") to its OID.
@@ -39,6 +45,16 @@ type Graph struct {
 	colls   map[string]*collection
 	// edgeCount caches the total number of edges for Stats.
 	edgeCount int
+
+	// shares is set once the graph shares records with another graph,
+	// on either side of a Merge. Until then every record is its own and
+	// is written in place. From then on only the records in ownedNodes
+	// and ownedColls are, the ones it made or cloned since: any other
+	// may be another graph's too, so a write clones it first (ownNode,
+	// ownColl). A record two graphs share is thus never written again.
+	shares     bool
+	ownedNodes map[OID]struct{}
+	ownedColls map[string]struct{}
 }
 
 type nodeData struct {
@@ -50,6 +66,81 @@ type nodeData struct {
 type collection struct {
 	members []Value
 	seen    map[Value]struct{}
+}
+
+// graphIDs numbers graphs for inIDOrder.
+var graphIDs atomic.Uint64
+
+// newNodeLocked stores a fresh record for node id and returns it.
+// Caller holds g.mu for writing.
+func (g *Graph) newNodeLocked(id OID, name string) *nodeData {
+	nd := &nodeData{name: name}
+	g.nodes[id] = nd
+	if g.shares {
+		g.ownedNodes[id] = struct{}{}
+	}
+	return nd
+}
+
+// newCollLocked stores a fresh, empty collection record.
+func (g *Graph) newCollLocked(name string) *collection {
+	c := &collection{seen: make(map[Value]struct{})}
+	g.colls[name] = c
+	if g.shares {
+		g.ownedColls[name] = struct{}{}
+	}
+	return c
+}
+
+// ownNode returns a record of node id that g may write in place: nd,
+// g's record of id, when g owns it, else a clone that replaces it. A
+// clone's slices are clipped to their length, so an append reallocates
+// instead of writing into an array another graph reads. Caller holds
+// g.mu for writing.
+func (g *Graph) ownNode(id OID, nd *nodeData) *nodeData {
+	if !g.shares {
+		return nd
+	}
+	if _, owned := g.ownedNodes[id]; owned {
+		return nd
+	}
+	c := &nodeData{name: nd.name, out: slices.Clip(nd.out), in: slices.Clip(nd.in)}
+	g.nodes[id] = c
+	g.ownedNodes[id] = struct{}{}
+	return c
+}
+
+// ownColl is ownNode for collection records.
+func (g *Graph) ownColl(name string, c *collection) *collection {
+	if !g.shares {
+		return c
+	}
+	if _, owned := g.ownedColls[name]; owned {
+		return c
+	}
+	cc := &collection{members: slices.Clip(c.members), seen: maps.Clone(c.seen)}
+	g.colls[name] = cc
+	g.ownedColls[name] = struct{}{}
+	return cc
+}
+
+// share marks g as sharing records with another graph: from now on it
+// writes in place only what it makes or clones. Caller holds g.mu for
+// writing.
+func (g *Graph) share() {
+	g.shares = true
+	g.ownedNodes = map[OID]struct{}{}
+	g.ownedColls = map[string]struct{}{}
+}
+
+// inIDOrder returns two graphs in graph-id order. Every operation that
+// holds two graphs' locks (Merge, Diff) takes them in this order, so no
+// two can deadlock.
+func inIDOrder(a, b *Graph) (*Graph, *Graph) {
+	if b.id < a.id {
+		return b, a
+	}
+	return a, b
 }
 
 // oidAllocator hands out database-unique OIDs.
@@ -89,36 +180,112 @@ func (g *Graph) NewSibling(name string) *Graph {
 	return newGraph(name, g.alloc)
 }
 
-// Merge copies src's nodes, edges and collections into g, keeping
-// their OIDs and creation names (NodeName), so the two graphs must
-// share an OID space.
-// What g already has stays: merged sources union, and a name g has
-// bound keeps its node. Merged into an empty sibling
-// (src.NewSibling(src.Name())), src is copied: a graph a build has
-// read is never edited, and a copy takes the edits instead.
+// Merge adds src's nodes, edges, name bindings and collections to g,
+// keeping their OIDs, creation names (NodeName), out-edge order and
+// collection member order, so the two graphs must share an OID space.
+// A node or collection g lacks takes src's record itself, which copies
+// no edge: the record becomes shared, and whichever graph writes it
+// next, src included, first clones it, so each graph keeps its own
+// view. What g already has stays: merged sources union, and a name g
+// has bound keeps its node. Merged into an empty sibling
+// (src.NewSibling(src.Name())), src is copied in O(nodes): a graph a
+// build has read is never edited, and a copy takes the edits instead.
 func (g *Graph) Merge(src *Graph) {
-	ids := src.Nodes()
-	for _, id := range ids {
-		g.AddNode(id, src.NodeName(id))
+	if g == src {
+		return
 	}
-	for _, id := range ids {
-		for _, e := range src.Out(id) {
-			// Duplicate edges are ignored by AddEdge.
-			_ = g.AddEdge(e.From, e.Label, e.To)
+	// Sharing src's records changes what src may write in place, so src
+	// is locked for writing too.
+	first, second := inIDOrder(g, src)
+	first.mu.Lock()
+	defer first.mu.Unlock()
+	second.mu.Lock()
+	defer second.mu.Unlock()
+
+	var top OID
+	var present []OID // src's nodes g has with a record of its own
+	if len(g.nodes) > 0 {
+		for id, nd := range src.nodes {
+			if gn, ok := g.nodes[id]; ok && gn != nd {
+				present = append(present, id)
+			}
 		}
 	}
-	for _, c := range src.Collections() {
-		g.DeclareCollection(c)
-		for _, v := range src.Collection(c) {
-			g.AddToCollection(c, v)
+	// Union src's edges into the present nodes before the nodes g lacks
+	// are taken below, while g still tells them apart: a node g lacks
+	// takes src's record, whose in-list already lists every src edge
+	// into it, and a node whose record g shares with src already has
+	// every src edge into and out of it.
+	slices.Sort(present)
+	for _, id := range present {
+		for _, e := range src.nodes[id].out {
+			if e.To.IsNode() {
+				tn, ok := g.nodes[e.To.OID()]
+				if !ok {
+					nd := g.ownNode(id, g.nodes[id])
+					nd.out = append(nd.out, e)
+					g.edgeCount++
+					continue
+				}
+				if tn == src.nodes[e.To.OID()] {
+					continue
+				}
+			}
+			g.addEdgeLocked(g.nodes[id], e)
 		}
 	}
+	for _, id := range present {
+		for _, e := range src.nodes[id].in {
+			if _, ok := g.nodes[e.From]; !ok {
+				nd := g.ownNode(id, g.nodes[id])
+				nd.in = append(nd.in, e)
+			}
+		}
+	}
+	for id, nd := range src.nodes {
+		top = max(top, id)
+		if _, ok := g.nodes[id]; ok {
+			continue
+		}
+		g.nodes[id] = nd
+		g.edgeCount += len(nd.out)
+	}
+	if top != InvalidOID {
+		g.alloc.reserve(top)
+	}
+	for name, id := range src.names {
+		if _, bound := g.names[name]; !bound {
+			g.bindLocked(name, id)
+		}
+	}
+	for name, c := range src.colls {
+		gc, ok := g.colls[name]
+		if !ok {
+			g.colls[name] = c
+			continue
+		}
+		for _, v := range c.members {
+			if _, dup := gc.seen[v]; !dup {
+				gc = g.ownColl(name, gc)
+				gc.seen[v] = struct{}{}
+				gc.members = append(gc.members, v)
+			}
+		}
+	}
+	// Both graphs now hold records the other holds. A target that shared
+	// nothing before gives up writing its own records in place too,
+	// which costs at most one clone per record it writes later.
+	if !g.shares {
+		g.share()
+	}
+	src.share()
 }
 
 func newGraph(name string, alloc *oidAllocator) *Graph {
 	return &Graph{
 		name:  name,
 		alloc: alloc,
+		id:    graphIDs.Add(1),
 		nodes: make(map[OID]*nodeData),
 		names: make(map[string]OID),
 		colls: make(map[string]*collection),
@@ -140,7 +307,7 @@ func (g *Graph) NewNode(name string) OID {
 		}
 	}
 	id := g.alloc.take()
-	g.nodes[id] = &nodeData{name: name}
+	g.newNodeLocked(id, name)
 	if name != "" {
 		g.names[name] = id
 	}
@@ -154,22 +321,29 @@ func (g *Graph) AddNode(id OID, name string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.alloc.reserve(id)
-	_, present := g.nodes[id]
-	if !present {
-		g.nodes[id] = &nodeData{name: name}
+	if _, present := g.nodes[id]; !present {
+		g.newNodeLocked(id, name)
 	}
 	if name != "" {
 		if _, bound := g.names[name]; !bound {
-			key, named := g.nameKeyLocked(id)
-			g.names[name] = id
-			if present && (!named || name < key) {
-				if g.aliases == nil {
-					g.aliases = map[OID]string{}
-				}
-				g.aliases[id] = name
-			}
+			g.bindLocked(name, id)
 		}
 	}
+}
+
+// bindLocked binds an unbound name to node id, a node of g, keeping
+// the node's key (Key) the smallest name bound to it. Caller holds g.mu
+// for writing.
+func (g *Graph) bindLocked(name string, id OID) {
+	key, named := g.nameKeyLocked(id)
+	g.names[name] = id
+	if named && name >= key || !named && name == g.nodes[id].name {
+		return
+	}
+	if g.aliases == nil {
+		g.aliases = map[OID]string{}
+	}
+	g.aliases[id] = name
 }
 
 // Key returns the node's object key, the identity Diff names it by:
@@ -271,34 +445,43 @@ func (g *Graph) AddEdge(from OID, label string, to Value) error {
 	if to.IsZero() {
 		return fmt.Errorf("graph %q: edge %q from &%d has invalid target", g.name, label, uint64(from))
 	}
+	g.addEdgeLocked(nd, Edge{From: from, Label: label, To: to})
+	return nil
+}
+
+// addEdgeLocked is AddEdge's body: nd is g's record of e.From. Caller
+// holds g.mu for writing.
+func (g *Graph) addEdgeLocked(nd *nodeData, e Edge) {
 	var tn *nodeData
-	if to.IsNode() {
-		tn = g.nodes[to.OID()]
+	if e.To.IsNode() {
+		tn = g.nodes[e.To.OID()]
 	}
 	if tn != nil && len(tn.in) < len(nd.out) {
 		for i := range tn.in {
-			if e := &tn.in[i]; e.From == from && e.Label == label {
-				return nil
+			if in := &tn.in[i]; in.From == e.From && in.Label == e.Label {
+				return
 			}
 		}
 	} else {
 		for i := range nd.out {
-			if e := &nd.out[i]; e.Label == label && e.To == to {
-				return nil
+			if out := &nd.out[i]; out.Label == e.Label && out.To == e.To {
+				return
 			}
 		}
 	}
-	if to.IsNode() {
-		g.alloc.reserve(to.OID())
+	nd = g.ownNode(e.From, nd)
+	if e.To.IsNode() {
+		g.alloc.reserve(e.To.OID())
 		if tn == nil {
-			tn = &nodeData{}
-			g.nodes[to.OID()] = tn
+			tn = g.newNodeLocked(e.To.OID(), "")
+		} else {
+			// Re-read: a self-edge's record was owned just above.
+			tn = g.ownNode(e.To.OID(), g.nodes[e.To.OID()])
 		}
-		tn.in = append(tn.in, Edge{From: from, Label: label, To: to})
+		tn.in = append(tn.in, e)
 	}
-	nd.out = append(nd.out, Edge{From: from, Label: label, To: to})
+	nd.out = append(nd.out, e)
 	g.edgeCount++
-	return nil
 }
 
 // EachOut calls fn for each outgoing edge of a node, in insertion
@@ -430,18 +613,18 @@ func (g *Graph) AddToCollection(name string, v Value) {
 	defer g.mu.Unlock()
 	c, ok := g.colls[name]
 	if !ok {
-		c = &collection{seen: make(map[Value]struct{})}
-		g.colls[name] = c
+		c = g.newCollLocked(name)
 	}
 	if _, dup := c.seen[v]; dup {
 		return
 	}
+	c = g.ownColl(name, c)
 	c.seen[v] = struct{}{}
 	c.members = append(c.members, v)
 	if v.IsNode() {
 		g.alloc.reserve(v.OID())
 		if _, present := g.nodes[v.OID()]; !present {
-			g.nodes[v.OID()] = &nodeData{}
+			g.newNodeLocked(v.OID(), "")
 		}
 	}
 }
@@ -451,7 +634,7 @@ func (g *Graph) DeclareCollection(name string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, ok := g.colls[name]; !ok {
-		g.colls[name] = &collection{seen: make(map[Value]struct{})}
+		g.newCollLocked(name)
 	}
 }
 

@@ -20,10 +20,12 @@ func (g *Graph) RemoveEdge(from OID, label string, to Value) bool {
 	if idx < 0 {
 		return false
 	}
+	nd = g.ownNode(from, nd)
 	nd.out = append(nd.out[:idx:idx], nd.out[idx+1:]...)
 	g.edgeCount--
 	if to.IsNode() {
 		if tn, ok := g.nodes[to.OID()]; ok {
+			tn = g.ownNode(to.OID(), tn)
 			for i, e := range tn.in {
 				if e.From == from && e.Label == label {
 					tn.in = append(tn.in[:i:i], tn.in[i+1:]...)
@@ -46,9 +48,11 @@ func (g *Graph) RemoveNode(id OID) bool {
 		return false
 	}
 	// Out-edges: drop the reverse entry on each node-valued target.
+	// nd itself is dropped, never written, so it is not owned.
 	for _, e := range nd.out {
 		if e.To.IsNode() && e.To.OID() != id {
 			if tn, ok := g.nodes[e.To.OID()]; ok {
+				tn = g.ownNode(e.To.OID(), tn)
 				tn.in = dropIn(tn.in, id, "")
 			}
 		}
@@ -60,6 +64,7 @@ func (g *Graph) RemoveNode(id OID) bool {
 			continue // self-edge, already counted in nd.out
 		}
 		if sn, ok := g.nodes[e.From]; ok {
+			sn = g.ownNode(e.From, sn)
 			kept := sn.out[:0:0]
 			removed := 0
 			for _, oe := range sn.out {
@@ -81,13 +86,15 @@ func (g *Graph) RemoveNode(id OID) bool {
 	}
 	delete(g.aliases, id)
 	v := NodeValue(id)
-	for _, c := range g.colls {
+	for name, c := range g.colls {
 		if _, member := c.seen[v]; member {
+			c = g.ownColl(name, c)
 			delete(c.seen, v)
 			c.members = dropValue(c.members, v)
 		}
 	}
 	delete(g.nodes, id)
+	delete(g.ownedNodes, id)
 	return true
 }
 
@@ -104,6 +111,7 @@ func (g *Graph) RemoveFromCollection(name string, v Value) bool {
 	if _, member := c.seen[v]; !member {
 		return false
 	}
+	c = g.ownColl(name, c)
 	delete(c.seen, v)
 	c.members = dropValue(c.members, v)
 	return true

@@ -269,23 +269,11 @@ func TestQuickKeyMatchesNameScan(t *testing.T) {
 	}
 }
 
-// copyGraph copies g into a sibling, node by node in OID order, so the
-// copy keeps every OID and node name.
+// copyGraph deep-copies g into a sibling with referenceMerge, so the
+// copy keeps every OID and node name and shares no record with g.
 func copyGraph(g *Graph) *Graph {
 	c := g.NewSibling(g.Name() + "'")
-	for _, id := range g.Nodes() {
-		c.AddNode(id, g.NodeName(id))
-	}
-	g.Edges(func(e Edge) bool {
-		c.AddEdge(e.From, e.Label, e.To)
-		return true
-	})
-	for _, coll := range g.Collections() {
-		c.DeclareCollection(coll)
-		for _, v := range g.Collection(coll) {
-			c.AddToCollection(coll, v)
-		}
-	}
+	referenceMerge(c, g)
 	return c
 }
 
@@ -299,7 +287,7 @@ func TestQuickDiffScopeEqualsDiff(t *testing.T) {
 		mutateRandomly(old, rng, 30)
 		new := copyGraph(old)
 		mutateRandomly(new, rng, 1+rng.Intn(8))
-		full := Diff(old, new)
+		full := DiffScope(old, new, nil)
 
 		scope := &Scope{Objects: full.Objects(), Collections: full.TouchedCollections}
 		for _, g := range []*Graph{old, new} {

@@ -456,7 +456,7 @@ func canonical(g *graph.Graph) string {
 // with unnamed nodes, references, nested objects, collection changes,
 // reorderings and whitespace-only edits, several sources per step or
 // none — and checks after every refresh that:
-//   - the reported warehouse delta deep-equals graph.Diff of the
+//   - the reported warehouse delta deep-equals the full diff of the
 //     previous and the committed warehouse, although only re-wrapped
 //     sources were diffed;
 //   - the committed warehouse equals, up to unnamed OIDs, the warehouse
@@ -504,7 +504,7 @@ func TestRefreshDeltaProperty(t *testing.T) {
 			if !r.Ok() {
 				t.Fatalf("seed %d step %d: %s", seed, step, r.Summary())
 			}
-			if want := graph.Diff(prev, wh); !reflect.DeepEqual(r.Warehouse, want) {
+			if want := graph.DiffScope(prev, wh, nil); !reflect.DeepEqual(r.Warehouse, want) {
 				t.Fatalf("seed %d step %d: reported delta\n  %+v\nfull diff\n  %+v", seed, step, r.Warehouse, want)
 			}
 			scratch := New(repository.New(""), "W")

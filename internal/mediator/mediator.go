@@ -478,7 +478,9 @@ func (m *Mediator) RefreshWithReport() (*graph.Graph, *RefreshReport, error) {
 		return m.lastWarehouse, report, nil
 	}
 
-	// Build the replacement warehouse, still off to the side.
+	// Build the replacement warehouse, still off to the side. Merge
+	// shares each source's node and collection records with it, so this
+	// copies no edge, and the committed graphs stay as readers hold them.
 	wh := db.Sibling(m.warehouse)
 	for _, s := range m.sources {
 		if s.Mode == Merge {

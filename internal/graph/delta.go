@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -102,12 +103,36 @@ func (d *Delta) Summary() string {
 	return b.String()
 }
 
-// objSnap is one object's canonical comparison form: its out-edges as
-// the label, a NUL, then the KindNode byte and the target's Key or the
-// atom's AppendKey encoding; and the collections it belongs to.
+// objSnap is one object's canonical comparison form: its out-edge keys
+// in out-list order, each prefixed with its length, in one string; and
+// the collections it belongs to. An edge key is the label, a NUL, then
+// the KindNode byte and the target's Key or the atom's AppendKey
+// encoding. Equal encodings mean equal edge sets; only where two
+// encodings differ does DiffScope build the sets, so an out-list that
+// was only reordered still compares as unchanged.
 type objSnap struct {
-	edges   map[string]struct{}
+	edges   string
 	members map[string]struct{}
+}
+
+// keys yields the edge keys of the encoding, in out-list order.
+func (s *objSnap) keys(yield func(string) bool) {
+	for e := s.edges; len(e) > 0; {
+		n, w := binary.Uvarint([]byte(e[:min(len(e), binary.MaxVarintLen64)]))
+		if !yield(e[w : w+int(n)]) {
+			return
+		}
+		e = e[w+int(n):]
+	}
+}
+
+// edgeSet returns the set of the encoding's edge keys.
+func (s *objSnap) edgeSet() map[string]struct{} {
+	set := map[string]struct{}{}
+	for k := range s.keys {
+		set[k] = struct{}{}
+	}
+	return set
 }
 
 // Scope names the objects (by key, see Graph.Key) and collections a
@@ -137,9 +162,9 @@ func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[stri
 			return g.keyLocked(id)
 		}
 	}
-	var buf []byte
-	snap := func(nd *nodeData) *objSnap {
-		s := &objSnap{edges: make(map[string]struct{}, len(nd.out))}
+	var buf, enc []byte
+	snap := func(s *objSnap, nd *nodeData) *objSnap {
+		enc = enc[:0]
 		for i := range nd.out {
 			e := &nd.out[i]
 			buf = append(append(buf[:0], e.Label...), 0)
@@ -148,8 +173,9 @@ func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[stri
 			} else {
 				buf = e.To.AppendKey(buf)
 			}
-			s.edges[string(buf)] = struct{}{}
+			enc = append(binary.AppendUvarint(enc, uint64(len(buf))), buf...)
 		}
+		s.edges = string(enc)
 		return s
 	}
 	// A node member is keyed as objs is, an atom by its encoding.
@@ -172,8 +198,11 @@ func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[stri
 
 	if scope == nil {
 		objs = make(map[string]*objSnap, len(g.nodes))
+		snaps := make([]objSnap, len(g.nodes))
+		i := 0
 		for id, nd := range g.nodes {
-			objs[key(id)] = snap(nd)
+			objs[key(id)] = snap(&snaps[i], nd)
+			i++
 		}
 		colls = make(map[string]map[string]struct{}, len(g.colls))
 		for name, c := range g.colls {
@@ -188,7 +217,7 @@ func (g *Graph) snapshot(scope *Scope) (objs map[string]*objSnap, colls map[stri
 		if !ok || key(id) != k {
 			continue // not an object of this graph
 		}
-		s := snap(g.nodes[id])
+		s := snap(&objSnap{}, g.nodes[id])
 		for name, c := range g.colls {
 			if _, member := c.seen[NodeValue(id)]; member {
 				s.addMember(name)
@@ -376,11 +405,9 @@ func DiffScope(old, new *Graph, scope *Scope) *Delta {
 
 	d := &Delta{}
 	labels := map[string]struct{}{}
-	touchLabels := func(edgeKeys map[string]struct{}) {
-		for k := range edgeKeys {
-			if i := strings.IndexByte(k, 0); i >= 0 {
-				labels[k[:i]] = struct{}{}
-			}
+	touch := func(edgeKey string) {
+		if i := strings.IndexByte(edgeKey, 0); i >= 0 {
+			labels[edgeKey[:i]] = struct{}{}
 		}
 	}
 	sameSet := func(a, b map[string]struct{}) bool {
@@ -399,24 +426,33 @@ func DiffScope(old, new *Graph, scope *Scope) *Delta {
 		os, ok := oldObjs[key]
 		if !ok {
 			d.AddedObjects = append(d.AddedObjects, key)
-			touchLabels(ns.edges)
+			for k := range ns.keys {
+				touch(k)
+			}
 			continue
 		}
-		if !sameSet(os.edges, ns.edges) || !sameSet(os.members, ns.members) {
-			d.ChangedObjects = append(d.ChangedObjects, key)
+		// Out-lists in the same order are the common case; only a
+		// difference in order or content needs the two edge sets.
+		var oldEdges, newEdges map[string]struct{}
+		sameEdges := os.edges == ns.edges
+		if !sameEdges {
+			oldEdges, newEdges = os.edgeSet(), ns.edgeSet()
+			sameEdges = sameSet(oldEdges, newEdges)
+		}
+		if sameEdges && sameSet(os.members, ns.members) {
+			continue
+		}
+		d.ChangedObjects = append(d.ChangedObjects, key)
+		if !sameEdges {
 			// Symmetric difference of the edge sets.
-			for k := range ns.edges {
-				if _, dup := os.edges[k]; !dup {
-					if i := strings.IndexByte(k, 0); i >= 0 {
-						labels[k[:i]] = struct{}{}
-					}
+			for k := range newEdges {
+				if _, dup := oldEdges[k]; !dup {
+					touch(k)
 				}
 			}
-			for k := range os.edges {
-				if _, dup := ns.edges[k]; !dup {
-					if i := strings.IndexByte(k, 0); i >= 0 {
-						labels[k[:i]] = struct{}{}
-					}
+			for k := range oldEdges {
+				if _, dup := newEdges[k]; !dup {
+					touch(k)
 				}
 			}
 		}
@@ -424,7 +460,9 @@ func DiffScope(old, new *Graph, scope *Scope) *Delta {
 	for key, os := range oldObjs {
 		if _, ok := newObjs[key]; !ok {
 			d.RemovedObjects = append(d.RemovedObjects, key)
-			touchLabels(os.edges)
+			for k := range os.keys {
+				touch(k)
+			}
 		}
 	}
 

@@ -1,8 +1,13 @@
 package graph
 
 import (
+	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // buildPair constructs two independently allocated graphs with the same
@@ -149,5 +154,168 @@ func TestDiffIntAndFloatAtomsDiffer(t *testing.T) {
 	new.AddToCollection("Vals", Float(5))
 	if got, want := Diff(old, new).Summary(), "delta: +0 -0 ~0 objects, collections Vals"; got != want {
 		t.Errorf("Diff = %q, want %q", got, want)
+	}
+}
+
+// referenceDiff is the full diff as it was before DiffScope compared
+// out-lists in order first: a map of edge keys per node, compared as
+// sets. DiffScope(old, new, nil) must return what it returns.
+func referenceDiff(old, new *Graph) *Delta {
+	type snap struct{ edges, members map[string]struct{} }
+	snapshot := func(g *Graph) (map[string]*snap, map[string]map[string]struct{}) {
+		objs, colls := map[string]*snap{}, map[string]map[string]struct{}{}
+		if g == nil {
+			return objs, colls
+		}
+		for _, id := range g.Nodes() {
+			s := &snap{edges: map[string]struct{}{}, members: map[string]struct{}{}}
+			for _, e := range g.Out(id) {
+				k := append([]byte(e.Label), 0)
+				if e.To.IsNode() {
+					k = append(append(k, byte(KindNode)), g.Key(e.To.OID())...)
+				} else {
+					k = e.To.AppendKey(k)
+				}
+				s.edges[string(k)] = struct{}{}
+			}
+			objs[g.Key(id)] = s
+		}
+		for _, c := range g.Collections() {
+			set := map[string]struct{}{}
+			for _, v := range g.Collection(c) {
+				if !v.IsNode() {
+					set[string(v.AppendKey(nil))] = struct{}{}
+					continue
+				}
+				set[g.Key(v.OID())] = struct{}{}
+				objs[g.Key(v.OID())].members[c] = struct{}{}
+			}
+			colls[c] = set
+		}
+		return objs, colls
+	}
+	oldObjs, oldColls := snapshot(old)
+	newObjs, newColls := snapshot(new)
+	sameSet := func(a, b map[string]struct{}) bool {
+		return len(a) == len(b) && reflect.DeepEqual(a, b)
+	}
+	labels, colls := map[string]struct{}{}, map[string]struct{}{}
+	touch := func(edges map[string]struct{}, except map[string]struct{}) {
+		for k := range edges {
+			if _, ok := except[k]; !ok {
+				labels[k[:strings.IndexByte(k, 0)]] = struct{}{}
+			}
+		}
+	}
+	d := &Delta{}
+	for key, ns := range newObjs {
+		os, ok := oldObjs[key]
+		switch {
+		case !ok:
+			d.AddedObjects = append(d.AddedObjects, key)
+			touch(ns.edges, nil)
+		case !sameSet(os.edges, ns.edges) || !sameSet(os.members, ns.members):
+			d.ChangedObjects = append(d.ChangedObjects, key)
+			touch(ns.edges, os.edges)
+			touch(os.edges, ns.edges)
+		}
+	}
+	for key, os := range oldObjs {
+		if _, ok := newObjs[key]; !ok {
+			d.RemovedObjects = append(d.RemovedObjects, key)
+			touch(os.edges, nil)
+		}
+	}
+	for name, ns := range newColls {
+		if os, ok := oldColls[name]; !ok || !sameSet(os, ns) {
+			colls[name] = struct{}{}
+		}
+	}
+	for name := range oldColls {
+		if _, ok := newColls[name]; !ok {
+			colls[name] = struct{}{}
+		}
+	}
+	d.TouchedLabels = slices.Sorted(maps.Keys(labels))
+	d.TouchedCollections = slices.Sorted(maps.Keys(colls))
+	for _, objs := range []*[]string{&d.AddedObjects, &d.RemovedObjects, &d.ChangedObjects} {
+		slices.Sort(*objs)
+	}
+	return d
+}
+
+// shuffleOutLists re-inserts every node's out-edges in a random order:
+// the same edge sets in other out-list orders.
+func shuffleOutLists(g *Graph, rng *rand.Rand) {
+	for _, id := range g.Nodes() {
+		out := g.Out(id)
+		for _, e := range out {
+			g.RemoveEdge(e.From, e.Label, e.To)
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		for _, e := range out {
+			if err := g.AddEdge(e.From, e.Label, e.To); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// TestDiffPermutedOutList: an out-list holding the same edges in
+// another order is unchanged, and one changed edge in a permuted list
+// is reported with its label, and no other.
+func TestDiffPermutedOutList(t *testing.T) {
+	build := func(order []int) *Graph {
+		g := New("g")
+		a, b := g.NewNode("a"), g.NewNode("b")
+		edges := []Edge{
+			{a, "title", Str("A")}, {a, "link", NodeValue(b)},
+			{a, "year", Int(1997)}, {a, "link", NodeValue(a)},
+		}
+		for _, i := range order {
+			g.AddEdge(edges[i].From, edges[i].Label, edges[i].To)
+		}
+		return g
+	}
+	old, permuted := build([]int{0, 1, 2, 3}), build([]int{3, 2, 0, 1})
+	if d := DiffScope(old, permuted, nil); !d.Empty() {
+		t.Errorf("permuted out-list: %s, want empty", d.Summary())
+	}
+	a, _ := permuted.NodeByName("a")
+	permuted.RemoveEdge(a, "year", Int(1997))
+	permuted.AddEdge(a, "year", Int(1998))
+	d := DiffScope(old, permuted, nil)
+	if got, want := d.Summary(), "delta: +0 -0 ~1 objects, labels year"; got != want {
+		t.Errorf("one changed edge: %s, want %s", got, want)
+	}
+	if !reflect.DeepEqual(d, referenceDiff(old, permuted)) {
+		t.Errorf("DiffScope %+v, referenceDiff %+v", d, referenceDiff(old, permuted))
+	}
+}
+
+// TestQuickDiffEqualsReferenceDiff: on random graphs and edit scripts,
+// with every out-list of the new side re-inserted in a random order on
+// some runs, the full diff equals the map-per-node reference in both
+// directions and against a missing graph.
+func TestQuickDiffEqualsReferenceDiff(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		old := randomGraph(seed, 12)
+		mutateRandomly(old, rng, 30)
+		new := copyGraph(old)
+		if rng.Intn(2) == 0 {
+			shuffleOutLists(new, rng)
+		}
+		mutateRandomly(new, rng, rng.Intn(8))
+		for _, p := range [][2]*Graph{{old, new}, {new, old}, {nil, new}, {old, nil}} {
+			if got, want := DiffScope(p[0], p[1], nil), referenceDiff(p[0], p[1]); !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d:\nDiffScope    %+v\nreferenceDiff %+v", seed, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

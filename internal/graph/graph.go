@@ -607,8 +607,13 @@ func (g *Graph) Labels() []string {
 }
 
 // AddToCollection inserts a value into a named collection, creating
-// the collection if needed. Duplicates are ignored.
+// the collection if needed. Duplicates are ignored, and so is the
+// invalid zero Value, which AddEdge refuses as an edge target: no
+// member of a collection is ever the zero Value.
 func (g *Graph) AddToCollection(name string, v Value) {
+	if v.IsZero() {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c, ok := g.colls[name]

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -37,6 +38,18 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	var zero Value
 	if !zero.IsZero() || Int(0).IsZero() {
 		t.Error("IsZero misclassifies")
+	}
+}
+
+// TestValueAndEdgeSizes pins the layout: binding rows, collection
+// members and both adjacency lists store Values and Edges inline, so
+// every byte here is paid once per row, member and edge.
+func TestValueAndEdgeSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 48 {
+		t.Errorf("sizeof(Value) = %d, want 48", got)
+	}
+	if got := unsafe.Sizeof(Edge{}); got != 72 {
+		t.Errorf("sizeof(Edge) = %d, want 72", got)
 	}
 }
 
@@ -244,6 +257,20 @@ func TestCollections(t *testing.T) {
 	g.AddToCollection("Other", NodeValue(777))
 	if !g.HasNode(777) {
 		t.Error("collection node member should join the graph")
+	}
+}
+
+// TestAddToCollectionRefusesZeroValue: the zero Value, which AddEdge
+// refuses as a target, never becomes a collection member either.
+func TestAddToCollectionRefusesZeroValue(t *testing.T) {
+	g := New("test")
+	g.AddToCollection("C", Value{})
+	g.AddToCollection("C", Str("a"))
+	if got := g.Collection("C"); len(got) != 1 || got[0] != Str("a") {
+		t.Errorf("C = %v, want [\"a\"]", got)
+	}
+	if g.InCollection("C", Value{}) {
+		t.Error("the zero Value is a member of C")
 	}
 }
 

@@ -110,14 +110,17 @@ func FileTypeByName(name string) (FileType, bool) {
 // Value is one object in a graph: either a node reference or an atomic
 // value. Value is a small comparable struct so it can be used directly
 // as a map key (indexes, Skolem memo tables, collection membership).
+// The three one-byte fields come first and share one word, so a Value
+// is 48 bytes: binding rows, collection members and both adjacency
+// lists store Values inline.
 type Value struct {
 	kind Kind
+	b    bool     // KindBool
+	ft   FileType // KindFile
 	oid  OID      // KindNode
 	i    int64    // KindInt
 	f    float64  // KindFloat
-	b    bool     // KindBool
 	s    string   // KindString, KindURL, KindFile (path)
-	ft   FileType // KindFile
 }
 
 // NodeValue returns a Value referencing the node with the given OID.

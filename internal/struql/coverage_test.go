@@ -176,6 +176,24 @@ func TestParseCollectMultiple(t *testing.T) {
 	}
 }
 
+// TestEvalCollectMultiple: each collect clause of a block fills its own
+// collection.
+func TestEvalCollectMultiple(t *testing.T) {
+	g := graph.New("g")
+	g.AddToCollection("C", graph.Str("a"))
+	res, err := Eval(MustParse(`WHERE C(x) CREATE F(x) COLLECT A(x), B(F(x)), D("const")`), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := res.Output
+	f, _ := out.NodeByName(`F("a")`)
+	for name, want := range map[string]graph.Value{"A": graph.Str("a"), "B": graph.NodeValue(f), "D": graph.Str("const")} {
+		if got := out.Collection(name); len(got) != 1 || got[0] != want {
+			t.Errorf("%s = %v, want [%v]", name, got, want)
+		}
+	}
+}
+
 func TestParseGraphNameDotted(t *testing.T) {
 	q := MustParse(`INPUT src.people.csv WHERE C(x) COLLECT Out(x) OUTPUT out.graph`)
 	if q.Input != "src.people.csv" || q.Output != "out.graph" {

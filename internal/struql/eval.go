@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,7 +85,7 @@ const defaultMaxBindings = 4_000_000
 // defaultParallelThreshold is the row count past which one condition's
 // evaluation is chunked across pool workers. Measured on the workload
 // benchmarks, the per-chunk cost (a goroutine dispatch plus one copy
-// of the bound-variable set) amortizes at a few hundred rows.
+// of the bound-slot set) amortizes at a few hundred rows.
 const defaultParallelThreshold = 256
 
 // Eval evaluates a query against an input graph. The semantics are the
@@ -122,11 +124,13 @@ func Eval(q *Query, input *graph.Graph, opts *Options) (*Result, error) {
 	if opts.Profiler != nil {
 		opts.Profiler.reset(q)
 	}
+	slots := newSlots(q.Root.Vars())
 	ev := &evaluator{
 		in:          input,
 		out:         out,
 		reg:         reg,
-		varKinds:    q.Root.Vars(),
+		slots:       slots,
+		rowKeys:     rowKeyer{names: slots.names},
 		newNodes:    map[graph.OID]bool{},
 		skolems:     map[string]graph.OID{},
 		nfaCache:    map[*PathExpr]*nfa{},
@@ -146,7 +150,7 @@ func Eval(q *Query, input *graph.Graph, opts *Options) (*Result, error) {
 	// scheduling. One consequence: a query-stage error now surfaces
 	// before any construction, instead of after the enclosing blocks'
 	// clauses ran.
-	bound, err := ev.bindBlock(q.Root, []env{{}})
+	bound, err := ev.bindBlock(q.Root, []env{ev.slots.row()})
 	if err != nil {
 		return nil, err
 	}
@@ -156,30 +160,211 @@ func Eval(q *Query, input *graph.Graph, opts *Options) (*Result, error) {
 	return &Result{Output: out, Bindings: ev.rows, NewNodes: len(ev.newNodes)}, nil
 }
 
-// env is one row of the binding relation: variable name → value. Arc
-// variables bind to string atoms carrying the edge label.
-type env map[string]graph.Value
+// env is one row of the binding relation: slot i holds the value of the
+// evaluation's i-th variable (see slots), and the zero Value marks a
+// slot no condition has bound. Arc variables bind to string atoms
+// carrying the edge label. Relations share rows, so a row is never
+// written once built: binding a variable copies it.
+type env []graph.Value
 
-func (e env) extend(name string, v graph.Value) env {
-	ne := make(env, len(e)+1)
-	for k, val := range e {
-		ne[k] = val
-	}
-	ne[name] = v
+// extend returns a copy of e with slot i bound to v.
+func (e env) extend(i int, v graph.Value) env {
+	ne := slices.Clone(e)
+	ne[i] = v
 	return ne
+}
+
+// slots numbers the variables of one evaluation: each of its rows is
+// len(names) wide, and slot i holds names[i]. Names are numbered in
+// sorted order, so slot order is name order.
+type slots struct {
+	index map[string]int
+	names []string
+	kinds []varKind
+}
+
+func newSlots(vars map[string]varKind) *slots {
+	s := &slots{index: make(map[string]int, len(vars)), names: slices.Sorted(maps.Keys(vars))}
+	s.kinds = make([]varKind, len(s.names))
+	for i, n := range s.names {
+		s.index[n] = i
+		s.kinds[i] = vars[n]
+	}
+	return s
+}
+
+// of returns the slot of a variable a condition names. The evaluation
+// numbers every such variable before it starts, so a missing one is a
+// numbering bug: of panics rather than let a row write slot 0, as the
+// zero of a missed map lookup would.
+func (s *slots) of(name string) int {
+	i, ok := s.index[name]
+	if !ok {
+		panic(fmt.Sprintf("struql: variable %q has no slot", name))
+	}
+	return i
+}
+
+// row returns a row with every slot unbound.
+func (s *slots) row() env { return make(env, len(s.names)) }
+
+// rows numbers Bindings into rows, all cut from one array. On a
+// Binding that names a variable the evaluation does not number, rows
+// returns that name.
+func (s *slots) rows(bs []Binding) ([]env, string) {
+	w := len(s.names)
+	all := make([]graph.Value, len(bs)*w)
+	out := make([]env, len(bs))
+	for j, b := range bs {
+		r := env(all[j*w : (j+1)*w : (j+1)*w])
+		n := 0
+		for i, name := range s.names {
+			if v, ok := b[name]; ok {
+				r[i] = v
+				n++
+			}
+		}
+		if n < len(b) {
+			for name := range b {
+				if _, ok := s.index[name]; !ok {
+					return nil, name
+				}
+			}
+		}
+		out[j] = r
+	}
+	return out, ""
+}
+
+// binding returns a row's bound slots as a Binding: rows leave the
+// evaluator as maps only through the planner hooks, EvalBindings and
+// provenance's tuple samples.
+func (s *slots) binding(r env) Binding {
+	n := 0
+	for _, v := range r {
+		if !v.IsZero() {
+			n++
+		}
+	}
+	b := make(Binding, n)
+	for i, v := range r {
+		if !v.IsZero() {
+			b[s.names[i]] = v
+		}
+	}
+	return b
+}
+
+// slotTerm is a term resolved against the slot table once per
+// condition step or per block's construction, so the row loops index
+// rows and hash no name: a variable's slot, or slot -1 and a constant.
+type slotTerm struct {
+	slot  int
+	konst graph.Value
+}
+
+func (s *slots) term(t Term) slotTerm {
+	if !t.IsVar() {
+		return slotTerm{slot: -1, konst: t.Const}
+	}
+	return slotTerm{slot: s.of(t.Var)}
+}
+
+// in returns the term's value in r; the zero Value when unbound.
+func (t slotTerm) in(r env) graph.Value {
+	if t.slot < 0 {
+		return t.konst
+	}
+	return r[t.slot]
+}
+
+// boundIn reports whether the term is a constant or a bound slot.
+func (t slotTerm) boundIn(bound []bool) bool { return t.slot < 0 || bound[t.slot] }
+
+// clauseTerm resolves a construction clause's term. A variable that no
+// where clause names has no slot; it resolves to the zero Value, which
+// reads as unbound in every row.
+func (s *slots) clauseTerm(t Term) slotTerm {
+	if _, ok := s.index[t.Var]; t.IsVar() && !ok {
+		return slotTerm{slot: -1}
+	}
+	return s.term(t)
+}
+
+// clauses are a block's construction clauses with every term resolved
+// to its slot, once per block rather than once per row.
+type clauses struct {
+	creates  []targetSlots
+	links    []linkSlots
+	collects []targetSlots
+}
+
+// targetSlots is a construction endpoint: a Skolem application with
+// its arguments' slots in args, or a term whose slot is args[0].
+type targetSlots struct {
+	skolem *SkolemTerm
+	term   *Term
+	args   []slotTerm
+}
+
+// linkSlots is a link clause; label is its arc variable or literal
+// label, and agg the aggregated variable when its target aggregates.
+type linkSlots struct {
+	link       *Link
+	from, to   targetSlots
+	label, agg slotTerm
+}
+
+func (s *slots) clauses(b *Block) *clauses {
+	c := &clauses{}
+	for i := range b.Creates {
+		c.creates = append(c.creates, s.target(LinkTarget{Skolem: &b.Creates[i]}))
+	}
+	for i := range b.Links {
+		l := &b.Links[i]
+		ls := linkSlots{link: l, from: s.target(l.From), to: s.target(l.To), label: slotTerm{slot: -1, konst: graph.Str(l.Label.Lit)}}
+		if l.Label.Var != "" {
+			ls.label = s.clauseTerm(VarTerm(l.Label.Var))
+		}
+		if l.To.Agg != nil {
+			ls.agg = s.clauseTerm(VarTerm(l.To.Agg.Var))
+		}
+		c.links = append(c.links, ls)
+	}
+	for _, co := range b.Collects {
+		c.collects = append(c.collects, s.target(co.Target))
+	}
+	return c
+}
+
+// target resolves a link or collect endpoint; an aggregate has none
+// (see linkSlots.agg).
+func (s *slots) target(t LinkTarget) targetSlots {
+	switch {
+	case t.Skolem != nil:
+		args := make([]slotTerm, len(t.Skolem.Args))
+		for i, a := range t.Skolem.Args {
+			args[i] = s.clauseTerm(a)
+		}
+		return targetSlots{skolem: t.Skolem, args: args}
+	case t.Term != nil:
+		return targetSlots{term: t.Term, args: []slotTerm{s.clauseTerm(*t.Term)}}
+	}
+	return targetSlots{}
 }
 
 type evaluator struct {
 	in       *graph.Graph
 	out      *graph.Graph
 	reg      *Registry
-	varKinds map[string]varKind
+	slots    *slots
 	newNodes map[graph.OID]bool
 	// skolems memoizes skolemNode for this evaluation: function name
 	// and encoded arguments → OID. skolemBuf is its key buffer.
 	skolems   map[string]graph.OID
 	skolemBuf []byte
-	// rowKeys encodes provenance's binding-row keys.
+	// rowKeys encodes provenance's binding-row keys, by name (see
+	// rowKeyer).
 	rowKeys  rowKeyer
 	nfaMu    sync.Mutex
 	nfaCache map[*PathExpr]*nfa
@@ -245,12 +430,13 @@ func (ev *evaluator) bindBlock(b *Block, parents []env) (*boundBlock, error) {
 // insertion order are identical at any worker count.
 func (ev *evaluator) constructBlock(n *boundBlock) error {
 	acc := map[aggKey]*aggState{}
+	cl := ev.slots.clauses(n.b)
 	for _, e := range n.envs {
 		ev.rows++
 		if ev.rows > ev.maxB {
 			return fmt.Errorf("struql: binding relation exceeded %d rows; the query is probably missing a range restriction", ev.maxB)
 		}
-		if err := ev.construct(n.b, e, acc); err != nil {
+		if err := ev.construct(n.b, cl, e, acc); err != nil {
 			return err
 		}
 	}
@@ -278,7 +464,7 @@ func (ev *evaluator) applyWhere(conds []Condition, rows []env, pn *PlanNode) ([]
 	if ev.plannerProf != nil || ev.planner != nil {
 		seed := make([]Binding, len(rows))
 		for i, r := range rows {
-			seed[i] = Binding(r)
+			seed[i] = ev.slots.binding(r)
 		}
 		var planned []Binding
 		var err error
@@ -308,21 +494,21 @@ func (ev *evaluator) applyWhere(conds []Condition, rows []env, pn *PlanNode) ([]
 		if err != nil {
 			return nil, err
 		}
-		out := make([]env, len(planned))
-		for i, r := range planned {
-			out[i] = env(r)
-		}
-		if len(out) > ev.maxB {
+		if len(planned) > ev.maxB {
 			return nil, fmt.Errorf("struql: binding relation exceeded %d rows", ev.maxB)
+		}
+		out, missing := ev.slots.rows(planned)
+		if missing != "" {
+			return nil, fmt.Errorf("struql: planner row names variable %q, which no condition of this query names", missing)
 		}
 		return out, nil
 	}
 	remaining := make([]Condition, len(conds))
 	copy(remaining, conds)
-	bound := map[string]bool{}
+	bound := make([]bool, len(ev.slots.names))
 	if len(rows) > 0 {
-		for v := range rows[0] {
-			bound[v] = true
+		for i, v := range rows[0] {
+			bound[i] = !v.IsZero()
 		}
 	}
 	for len(remaining) > 0 {
@@ -330,24 +516,25 @@ func (ev *evaluator) applyWhere(conds []Condition, rows []env, pn *PlanNode) ([]
 		if score >= scoreNeedsDomain {
 			// Active-domain fallback: bind one unbound variable of the
 			// chosen condition to every element of the active domain.
-			v, kind := firstUnbound(remaining[idx], bound)
+			v, kind := ev.firstUnbound(remaining[idx], bound)
 			if v == "" {
 				return nil, fmt.Errorf("struql: cannot order condition %s", remaining[idx])
 			}
+			slot := ev.slots.of(v)
 			in := len(rows)
 			t0 := time.Now()
 			domain := ev.activeDomain(kind)
 			var next []env
 			for _, r := range rows {
 				for _, d := range domain {
-					next = append(next, r.extend(v, d))
+					next = append(next, r.extend(slot, d))
 				}
 			}
 			if len(next) > ev.maxB {
 				return nil, fmt.Errorf("struql: active-domain expansion of %q exceeded %d rows", v, ev.maxB)
 			}
 			rows = next
-			bound[v] = true
+			bound[slot] = true
 			if pn != nil {
 				pn.Steps = append(pn.Steps, StepStat{
 					Cond:    "domain(" + v + ")",
@@ -403,8 +590,8 @@ func condsString(conds []Condition) string {
 // condition given the currently bound variables — the interpreter
 // analogue of the optimizer's physical-operator choice, computed
 // before expandRows mutates the bound set.
-func (ev *evaluator) interpMethod(c Condition, bound map[string]bool) string {
-	termBound := func(t Term) bool { return !t.IsVar() || bound[t.Var] }
+func (ev *evaluator) interpMethod(c Condition, bound []bool) string {
+	termBound := func(t Term) bool { return ev.slots.term(t).boundIn(bound) }
 	switch c := c.(type) {
 	case *MembershipCond:
 		if termBound(c.Arg) {
@@ -428,7 +615,7 @@ func (ev *evaluator) interpMethod(c Condition, bound map[string]bool) string {
 		}
 		return "assign"
 	case *InSetCond:
-		if bound[c.Var] {
+		if bound[ev.slots.of(c.Var)] {
 			return "filter:in"
 		}
 		return "set-expand"
@@ -445,7 +632,7 @@ const scoreNeedsDomain = 1000
 
 // pickNext returns the index of the cheapest evaluable condition and
 // its score.
-func (ev *evaluator) pickNext(conds []Condition, bound map[string]bool) (int, int) {
+func (ev *evaluator) pickNext(conds []Condition, bound []bool) (int, int) {
 	best, bestScore := 0, 1<<30
 	for i, c := range conds {
 		s := ev.score(c, bound)
@@ -456,8 +643,8 @@ func (ev *evaluator) pickNext(conds []Condition, bound map[string]bool) (int, in
 	return best, bestScore
 }
 
-func (ev *evaluator) score(c Condition, bound map[string]bool) int {
-	termBound := func(t Term) bool { return !t.IsVar() || bound[t.Var] }
+func (ev *evaluator) score(c Condition, bound []bool) int {
+	termBound := func(t Term) bool { return ev.slots.term(t).boundIn(bound) }
 	switch c := c.(type) {
 	case *MembershipCond:
 		if termBound(c.Arg) {
@@ -469,7 +656,7 @@ func (ev *evaluator) score(c Condition, bound map[string]bool) int {
 		return scoreNeedsDomain + 500 // predicate needing a bound arg
 	case *EdgeCond:
 		fb, tb := termBound(c.From), termBound(c.To)
-		lb := c.Label.Var == "" || bound[c.Label.Var]
+		lb := c.Label.Var == "" || bound[ev.slots.of(c.Label.Var)]
 		switch {
 		case fb && tb && lb:
 			return 0
@@ -503,7 +690,7 @@ func (ev *evaluator) score(c Condition, bound map[string]bool) int {
 			return scoreNeedsDomain + 200
 		}
 	case *InSetCond:
-		if bound[c.Var] {
+		if bound[ev.slots.of(c.Var)] {
 			return 0
 		}
 		return 12
@@ -518,7 +705,7 @@ func (ev *evaluator) score(c Condition, bound map[string]bool) int {
 		vm := map[string]varKind{}
 		c.vars(vm)
 		for v := range vm {
-			if !bound[v] {
+			if !bound[ev.slots.of(v)] {
 				return scoreNeedsDomain + 1000
 			}
 		}
@@ -529,16 +716,11 @@ func (ev *evaluator) score(c Condition, bound map[string]bool) int {
 }
 
 // firstUnbound returns one unbound variable of c and its kind.
-func firstUnbound(c Condition, bound map[string]bool) (string, varKind) {
+func (ev *evaluator) firstUnbound(c Condition, bound []bool) (string, varKind) {
 	vm := map[string]varKind{}
 	c.vars(vm)
-	names := make([]string, 0, len(vm))
-	for v := range vm {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	for _, v := range names {
-		if !bound[v] {
+	for _, v := range slices.Sorted(maps.Keys(vm)) {
+		if !bound[ev.slots.of(v)] {
 			return v, vm[v]
 		}
 	}
@@ -582,24 +764,15 @@ func (ev *evaluator) activeDomain(kind varKind) []graph.Value {
 	return out
 }
 
-// resolve returns the value of a term under an environment.
-func resolve(t Term, e env) (graph.Value, bool) {
-	if !t.IsVar() {
-		return t.Const, true
-	}
-	v, ok := e[t.Var]
-	return v, ok
-}
-
 // expandRows applies one condition to the full relation. Past the
 // parallel threshold the outer binding loop is chunked across pool
 // workers: every expand* evaluator processes rows independently and in
 // order, so the concatenation of the chunk outputs equals the
 // sequential output row for row. Each chunk works on a copy of the
-// bound-variable set; the canonical update of bound is replayed once
+// bound-slot set; the canonical update of bound is replayed once
 // afterwards with an empty relation (the updates depend only on the
 // condition and the bound set, never on the rows).
-func (ev *evaluator) expandRows(c Condition, rows []env, bound map[string]bool) ([]env, error) {
+func (ev *evaluator) expandRows(c Condition, rows []env, bound []bool) ([]env, error) {
 	w := 1
 	if ev.pool != nil {
 		w = ev.pool.Workers()
@@ -615,7 +788,7 @@ func (ev *evaluator) expandRows(c Condition, rows []env, bound map[string]bool) 
 	}
 	parts, err := pool.Map(pool.WithPhase(context.Background(), "bind"), ev.pool, len(chunks),
 		func(_ context.Context, i int) ([]env, error) {
-			return ev.expand(c, chunks[i], copyBound(bound))
+			return ev.expand(c, chunks[i], slices.Clone(bound))
 		})
 	if err != nil {
 		return nil, err
@@ -637,8 +810,9 @@ func (ev *evaluator) expandRows(c Condition, rows []env, bound map[string]bool) 
 }
 
 // expand applies one condition to every row, producing the extended
-// relation. bound is updated with newly bound variables.
-func (ev *evaluator) expand(c Condition, rows []env, bound map[string]bool) ([]env, error) {
+// relation. bound is updated with newly bound slots. Each expand*
+// resolves its terms' slots once, before its row loop.
+func (ev *evaluator) expand(c Condition, rows []env, bound []bool) ([]env, error) {
 	switch c := c.(type) {
 	case *MembershipCond:
 		return ev.expandMembership(c, rows, bound)
@@ -659,7 +833,8 @@ func (ev *evaluator) expand(c Condition, rows []env, bound map[string]bool) ([]e
 	}
 }
 
-func (ev *evaluator) expandMembership(c *MembershipCond, rows []env, bound map[string]bool) ([]env, error) {
+func (ev *evaluator) expandMembership(c *MembershipCond, rows []env, bound []bool) ([]env, error) {
+	arg := ev.slots.term(c.Arg)
 	isColl := ev.in.HasCollection(c.Collection)
 	if !isColl {
 		// Semantic-level resolution: not a collection, so it must be
@@ -667,8 +842,8 @@ func (ev *evaluator) expandMembership(c *MembershipCond, rows []env, bound map[s
 		if fn, ok := ev.reg.objectPred(c.Collection); ok {
 			var out []env
 			for _, r := range rows {
-				v, ok := resolve(c.Arg, r)
-				if !ok {
+				v := arg.in(r)
+				if v.IsZero() {
 					return nil, fmt.Errorf("struql: predicate %s applied to unbound variable", c)
 				}
 				if fn(v) {
@@ -679,11 +854,10 @@ func (ev *evaluator) expandMembership(c *MembershipCond, rows []env, bound map[s
 		}
 		return nil, fmt.Errorf("struql: %q is neither a collection of graph %q nor a registered predicate", c.Collection, ev.in.Name())
 	}
-	if !c.Arg.IsVar() || bound[c.Arg.Var] {
+	if arg.boundIn(bound) {
 		var out []env
 		for _, r := range rows {
-			v, _ := resolve(c.Arg, r)
-			if ev.in.InCollection(c.Collection, v) {
+			if ev.in.InCollection(c.Collection, arg.in(r)) {
 				out = append(out, r)
 			}
 		}
@@ -693,24 +867,28 @@ func (ev *evaluator) expandMembership(c *MembershipCond, rows []env, bound map[s
 	var out []env
 	for _, r := range rows {
 		for _, m := range members {
-			out = append(out, r.extend(c.Arg.Var, m))
+			out = append(out, r.extend(arg.slot, m))
 		}
 	}
-	bound[c.Arg.Var] = true
+	bound[arg.slot] = true
 	return out, nil
 }
 
-func (ev *evaluator) expandEdge(c *EdgeCond, rows []env, bound map[string]bool) ([]env, error) {
-	fromBound := !c.From.IsVar() || bound[c.From.Var]
-	toBound := !c.To.IsVar() || bound[c.To.Var]
-	labelBound := c.Label.Var == "" || bound[c.Label.Var]
+func (ev *evaluator) expandEdge(c *EdgeCond, rows []env, bound []bool) ([]env, error) {
+	from, to := ev.slots.term(c.From), ev.slots.term(c.To)
+	label := -1 // the arc variable's slot
+	if c.Label.Var != "" {
+		label = ev.slots.of(c.Label.Var)
+	}
+	fromBound, toBound := from.boundIn(bound), to.boundIn(bound)
+	labelBound := label < 0 || bound[label]
 
 	labelOK := func(r env, l string) bool {
 		switch {
 		case c.Label.Any:
 			return true
-		case c.Label.Var != "":
-			if lv, ok := r[c.Label.Var]; ok {
+		case label >= 0:
+			if lv := r[label]; !lv.IsZero() {
 				s, _ := lv.AsString()
 				return s == l
 			}
@@ -719,32 +897,33 @@ func (ev *evaluator) expandEdge(c *EdgeCond, rows []env, bound map[string]bool) 
 			return c.Label.Lit == l
 		}
 	}
+	// bindRow copies r once, however many of from, label and to the
+	// edge binds.
 	bindRow := func(r env, e graph.Edge) env {
-		nr := r
-		if c.From.IsVar() && !fromBound {
-			nr = nr.extend(c.From.Var, graph.NodeValue(e.From))
+		if fromBound && labelBound && toBound {
+			return r
 		}
-		if c.Label.Var != "" && !labelBound {
-			nr = nr.extend(c.Label.Var, graph.Str(e.Label))
+		nr := slices.Clone(r)
+		if !fromBound {
+			nr[from.slot] = graph.NodeValue(e.From)
 		}
-		if c.To.IsVar() && !toBound {
-			nr = nr.extend(c.To.Var, e.To)
+		if !labelBound {
+			nr[label] = graph.Str(e.Label)
+		}
+		if !toBound {
+			nr[to.slot] = e.To
 		}
 		return nr
 	}
-	toMatches := func(r env, to graph.Value) bool {
-		if !toBound {
-			return true
-		}
-		v, _ := resolve(c.To, r)
-		return v == to
+	toMatches := func(r env, v graph.Value) bool {
+		return !toBound || to.in(r) == v
 	}
 
 	var out []env
 	switch {
 	case fromBound:
 		for _, r := range rows {
-			fv, _ := resolve(c.From, r)
+			fv := from.in(r)
 			if !fv.IsNode() {
 				continue
 			}
@@ -757,7 +936,7 @@ func (ev *evaluator) expandEdge(c *EdgeCond, rows []env, bound map[string]bool) 
 		}
 	case toBound:
 		for _, r := range rows {
-			tv, _ := resolve(c.To, r)
+			tv := to.in(r)
 			if tv.IsNode() {
 				for _, e := range ev.in.In(tv.OID()) {
 					if labelOK(r, e.Label) {
@@ -787,14 +966,13 @@ func (ev *evaluator) expandEdge(c *EdgeCond, rows []env, bound map[string]bool) 
 			})
 		}
 	}
-	if c.From.IsVar() {
-		bound[c.From.Var] = true
+	for _, t := range [...]slotTerm{from, to} {
+		if t.slot >= 0 {
+			bound[t.slot] = true
+		}
 	}
-	if c.To.IsVar() {
-		bound[c.To.Var] = true
-	}
-	if c.Label.Var != "" {
-		bound[c.Label.Var] = true
+	if label >= 0 {
+		bound[label] = true
 	}
 	return out, nil
 }
@@ -817,18 +995,17 @@ func (ev *evaluator) pathNFA(p *PathExpr) (*nfa, error) {
 	return n, nil
 }
 
-func (ev *evaluator) expandPath(c *PathCond, rows []env, bound map[string]bool) ([]env, error) {
+func (ev *evaluator) expandPath(c *PathCond, rows []env, bound []bool) ([]env, error) {
 	n, err := ev.pathNFA(c.Path)
 	if err != nil {
 		return nil, err
 	}
-	fromBound := !c.From.IsVar() || bound[c.From.Var]
-	toBound := !c.To.IsVar() || bound[c.To.Var]
+	from, to := ev.slots.term(c.From), ev.slots.term(c.To)
+	fromBound, toBound := from.boundIn(bound), to.boundIn(bound)
 
 	sources := func(r env) []graph.Value {
 		if fromBound {
-			v, _ := resolve(c.From, r)
-			return []graph.Value{v}
+			return []graph.Value{from.in(r)}
 		}
 		// Unbound source: every node is a candidate; atoms only reach
 		// themselves via the empty path.
@@ -845,29 +1022,28 @@ func (ev *evaluator) expandPath(c *PathCond, rows []env, bound map[string]bool) 
 	var out []env
 	for _, r := range rows {
 		for _, s := range sources(r) {
-			targets := n.reach(ev.in, s)
-			for _, t := range targets {
-				nr := r
-				if c.From.IsVar() && !fromBound {
-					nr = nr.extend(c.From.Var, s)
+			for _, t := range n.reach(ev.in, s) {
+				if toBound && t != to.in(r) {
+					continue
 				}
-				if toBound {
-					want, _ := resolve(c.To, nr)
-					if t != want {
-						continue
+				nr := r
+				if !fromBound || !toBound {
+					nr = slices.Clone(r)
+					if !fromBound {
+						nr[from.slot] = s
 					}
-				} else {
-					nr = nr.extend(c.To.Var, t)
+					if !toBound {
+						nr[to.slot] = t
+					}
 				}
 				out = append(out, nr)
 			}
 		}
 	}
-	if c.From.IsVar() {
-		bound[c.From.Var] = true
-	}
-	if c.To.IsVar() {
-		bound[c.To.Var] = true
+	for _, t := range [...]slotTerm{from, to} {
+		if t.slot >= 0 {
+			bound[t.slot] = true
+		}
 	}
 	return dedupe(out), nil
 }
@@ -888,31 +1064,27 @@ func (ev *evaluator) atomDomain() []graph.Value {
 	return out
 }
 
-func (ev *evaluator) expandCompare(c *CompareCond, rows []env, bound map[string]bool) ([]env, error) {
-	lb := !c.Left.IsVar() || bound[c.Left.Var]
-	rb := !c.Right.IsVar() || bound[c.Right.Var]
+func (ev *evaluator) expandCompare(c *CompareCond, rows []env, bound []bool) ([]env, error) {
+	left, right := ev.slots.term(c.Left), ev.slots.term(c.Right)
+	lb, rb := left.boundIn(bound), right.boundIn(bound)
 	var out []env
 	switch {
 	case lb && rb:
 		for _, r := range rows {
-			lv, _ := resolve(c.Left, r)
-			rv, _ := resolve(c.Right, r)
-			if compareOK(lv, rv, c.Op) {
+			if compareOK(left.in(r), right.in(r), c.Op) {
 				out = append(out, r)
 			}
 		}
 	case c.Op == OpEq && lb:
 		for _, r := range rows {
-			lv, _ := resolve(c.Left, r)
-			out = append(out, r.extend(c.Right.Var, lv))
+			out = append(out, r.extend(right.slot, left.in(r)))
 		}
-		bound[c.Right.Var] = true
+		bound[right.slot] = true
 	case c.Op == OpEq && rb:
 		for _, r := range rows {
-			rv, _ := resolve(c.Right, r)
-			out = append(out, r.extend(c.Left.Var, rv))
+			out = append(out, r.extend(left.slot, right.in(r)))
 		}
-		bound[c.Left.Var] = true
+		bound[left.slot] = true
 	default:
 		return nil, fmt.Errorf("struql: comparison %s over unbound variables", c)
 	}
@@ -941,26 +1113,24 @@ func compareOK(a, b graph.Value, op CompareOp) bool {
 	}
 }
 
-func (ev *evaluator) expandInSet(c *InSetCond, rows []env, bound map[string]bool) ([]env, error) {
+func (ev *evaluator) expandInSet(c *InSetCond, rows []env, bound []bool) ([]env, error) {
+	slot := ev.slots.of(c.Var)
 	var out []env
-	if bound[c.Var] {
+	if bound[slot] {
 		for _, r := range rows {
-			s, _ := r[c.Var].AsString()
-			for _, m := range c.Set {
-				if m == s {
-					out = append(out, r)
-					break
-				}
+			s, _ := r[slot].AsString()
+			if slices.Contains(c.Set, s) {
+				out = append(out, r)
 			}
 		}
 		return out, nil
 	}
 	for _, r := range rows {
 		for _, m := range c.Set {
-			out = append(out, r.extend(c.Var, graph.Str(m)))
+			out = append(out, r.extend(slot, graph.Str(m)))
 		}
 	}
-	bound[c.Var] = true
+	bound[slot] = true
 	return out, nil
 }
 
@@ -977,15 +1147,17 @@ func (ev *evaluator) expandPred(c *PredCond, rows []env) ([]env, error) {
 	if !ok {
 		return nil, fmt.Errorf("struql: unknown predicate %q", c.Name)
 	}
+	args := make([]slotTerm, len(c.Args))
+	for i, a := range c.Args {
+		args[i] = ev.slots.term(a)
+	}
 	var out []env
 	for _, r := range rows {
-		vals := make([]graph.Value, len(c.Args))
-		for i, a := range c.Args {
-			v, bok := resolve(a, r)
-			if !bok {
-				return nil, fmt.Errorf("struql: predicate %s applied to unbound variable %q", c, a.Var)
+		vals := make([]graph.Value, len(args))
+		for i, a := range args {
+			if vals[i] = a.in(r); vals[i].IsZero() {
+				return nil, fmt.Errorf("struql: predicate %s applied to unbound variable %q", c, c.Args[i].Var)
 			}
-			vals[i] = v
 		}
 		if fn(vals) {
 			out = append(out, r)
@@ -994,26 +1166,23 @@ func (ev *evaluator) expandPred(c *PredCond, rows []env) ([]env, error) {
 	return out, nil
 }
 
-func (ev *evaluator) expandNot(c *NotCond, rows []env, bound map[string]bool) ([]env, error) {
+// expandNot keeps the rows under which the inner condition has no
+// match. The inner evaluation extends copies of each row, so nothing
+// it binds reaches the rows kept.
+func (ev *evaluator) expandNot(c *NotCond, rows []env, bound []bool) ([]env, error) {
 	var out []env
+	inner := make([]bool, len(bound))
 	for _, r := range rows {
-		inner, err := ev.expand(c.Inner, []env{r}, copyBound(bound))
+		copy(inner, bound)
+		matches, err := ev.expand(c.Inner, []env{r}, inner)
 		if err != nil {
 			return nil, err
 		}
-		if len(inner) == 0 {
+		if len(matches) == 0 {
 			out = append(out, r)
 		}
 	}
 	return out, nil
-}
-
-func copyBound(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // dedupe removes duplicate rows; the binding relation is a set.
@@ -1035,45 +1204,33 @@ func dedupe(rows []env) []env {
 	return out
 }
 
-// rowKeyer encodes binding rows as injective byte keys: each variable's
-// length-prefixed name and graph.Value.AppendKey encoding, in name
-// order. The sorted names are kept and re-sorted only when a row's
-// variable set differs, which within one relation it does not. A key
-// is valid until the next call.
+// rowKeyer encodes binding rows as injective byte keys: for each bound
+// slot in slot order, its index, or its variable's length-prefixed name
+// when names is set, then its graph.Value.AppendKey encoding. Index
+// keys compare the rows of one evaluation. Provenance, whose recorder
+// spans the evaluations of several queries, keys by name: slots are
+// numbered in name order, so the same variables and values key alike
+// in any evaluation. A key is valid until the next call.
 type rowKeyer struct {
 	names []string
 	buf   []byte
 }
 
 func (k *rowKeyer) key(r env) []byte {
-	if !k.encode(r) {
-		k.names = k.names[:0]
-		for n := range r {
-			k.names = append(k.names, n)
-		}
-		sort.Strings(k.names)
-		k.encode(r)
-	}
-	return k.buf
-}
-
-// encode writes r's key into k.buf over k.names; false when r's
-// variables are not exactly k.names.
-func (k *rowKeyer) encode(r env) bool {
-	if len(r) != len(k.names) {
-		return false
-	}
 	b := k.buf[:0]
-	for _, n := range k.names {
-		v, ok := r[n]
-		if !ok {
-			return false
+	for i, v := range r {
+		if v.IsZero() {
+			continue
 		}
-		b = binary.AppendUvarint(b, uint64(len(n)))
-		b = v.AppendKey(append(b, n...))
+		if k.names != nil {
+			b = append(binary.AppendUvarint(b, uint64(len(k.names[i]))), k.names[i]...)
+		} else {
+			b = binary.AppendUvarint(b, uint64(i))
+		}
+		b = v.AppendKey(b)
 	}
 	k.buf = b
-	return true
+	return b
 }
 
 // aggKey groups aggregate accumulation by link clause, resolved
@@ -1095,47 +1252,40 @@ type aggState struct {
 	ord  int
 }
 
-// construct runs the block's create, link and collect clauses for one
-// binding row. Links whose target is an aggregate accumulate into acc
-// and are emitted by flushAggregates after all rows.
-func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error {
-	for _, ct := range b.Creates {
+// construct runs the block's create, link and collect clauses (cl)
+// for one binding row. Links whose target is an aggregate accumulate
+// into acc and are emitted by flushAggregates after all rows.
+func (ev *evaluator) construct(b *Block, cl *clauses, r env, acc map[aggKey]*aggState) error {
+	for _, ct := range cl.creates {
 		id, err := ev.skolemNode(ct, r)
 		if err != nil {
 			return err
 		}
 		ev.recordProv(b, id, r)
 	}
-	for li := range b.Links {
-		l := b.Links[li]
-		from, err := ev.resolveTarget(l.From, r)
+	for _, l := range cl.links {
+		from, err := ev.resolveTarget(l.from, r)
 		if err != nil {
 			return err
 		}
 		if !from.IsNode() || !ev.newNodes[from.OID()] {
-			return fmt.Errorf("struql: link %s adds an edge from existing object %s; existing nodes are immutable", l, from)
+			return fmt.Errorf("struql: link %s adds an edge from existing object %s; existing nodes are immutable", l.link, from)
 		}
 		ev.recordProv(b, from.OID(), r)
-		var label string
-		switch {
-		case l.Label.Var != "":
-			lv, ok := r[l.Label.Var]
-			if !ok {
-				return fmt.Errorf("struql: link %s: arc variable %q unbound", l, l.Label.Var)
-			}
-			label, _ = lv.AsString()
-		default:
-			label = l.Label.Lit
+		lv := l.label.in(r)
+		if lv.IsZero() {
+			return fmt.Errorf("struql: link %s: arc variable %q unbound", l.link, l.link.Label.Var)
 		}
-		if l.To.Agg != nil {
-			v, ok := r[l.To.Agg.Var]
-			if !ok {
-				return fmt.Errorf("struql: aggregate %s: variable %q unbound", l.To.Agg, l.To.Agg.Var)
+		label, _ := lv.AsString()
+		if agg := l.link.To.Agg; agg != nil {
+			v := l.agg.in(r)
+			if v.IsZero() {
+				return fmt.Errorf("struql: aggregate %s: variable %q unbound", agg, agg.Var)
 			}
-			k := aggKey{link: &b.Links[li], from: from.OID(), label: label}
-			st, ok2 := acc[k]
-			if !ok2 {
-				st = &aggState{op: l.To.Agg.Op, seen: map[graph.Value]struct{}{}, ord: len(acc)}
+			k := aggKey{link: l.link, from: from.OID(), label: label}
+			st, ok := acc[k]
+			if !ok {
+				st = &aggState{op: agg.Op, seen: map[graph.Value]struct{}{}, ord: len(acc)}
 				acc[k] = st
 			}
 			if _, dup := st.seen[v]; !dup {
@@ -1144,7 +1294,7 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 			}
 			continue
 		}
-		to, err := ev.resolveTarget(l.To, r)
+		to, err := ev.resolveTarget(l.to, r)
 		if err != nil {
 			return err
 		}
@@ -1153,13 +1303,13 @@ func (ev *evaluator) construct(b *Block, r env, acc map[aggKey]*aggState) error 
 			return err
 		}
 	}
-	for _, c := range b.Collects {
-		v, err := ev.resolveTarget(c.Target, r)
+	for i, c := range cl.collects {
+		v, err := ev.resolveTarget(c, r)
 		if err != nil {
 			return err
 		}
 		ev.reach(b, v, r)
-		ev.out.AddToCollection(c.Collection, v)
+		ev.out.AddToCollection(b.Collects[i].Collection, v)
 	}
 	return nil
 }
@@ -1275,12 +1425,12 @@ func Aggregate(op AggOp, vals []graph.Value) (graph.Value, error) {
 // of that name lookup, ev.skolems memoizes this evaluation's
 // applications by function name and encoded arguments, so a repeated
 // application formats no name.
-func (ev *evaluator) skolemNode(t SkolemTerm, r env) (graph.OID, error) {
-	b := append(ev.skolemBuf[:0], t.Func...)
-	for _, a := range t.Args {
-		v, ok := resolve(a, r)
-		if !ok {
-			return 0, fmt.Errorf("struql: %s: variable %q unbound", t, a.Var)
+func (ev *evaluator) skolemNode(t targetSlots, r env) (graph.OID, error) {
+	b := append(ev.skolemBuf[:0], t.skolem.Func...)
+	for i, a := range t.args {
+		v := a.in(r)
+		if v.IsZero() {
+			return 0, fmt.Errorf("struql: %s: variable %q unbound", t.skolem, t.skolem.Args[i].Var)
 		}
 		b = v.AppendKey(append(b, 0))
 	}
@@ -1288,11 +1438,11 @@ func (ev *evaluator) skolemNode(t SkolemTerm, r env) (graph.OID, error) {
 	if id, ok := ev.skolems[string(b)]; ok {
 		return id, nil
 	}
-	args := make([]graph.Value, len(t.Args))
-	for i, a := range t.Args {
-		args[i], _ = resolve(a, r)
+	args := make([]graph.Value, len(t.args))
+	for i, a := range t.args {
+		args[i] = a.in(r)
 	}
-	id := ev.out.NewNode(SkolemName(ev.in, t.Func, args))
+	id := ev.out.NewNode(SkolemName(ev.in, t.skolem.Func, args))
 	ev.skolems[string(b)] = id
 	ev.newNodes[id] = true
 	return id, nil
@@ -1316,17 +1466,17 @@ func SkolemName(g *graph.Graph, fn string, args []graph.Value) string {
 	return fn + "(" + strings.Join(parts, ",") + ")"
 }
 
-func (ev *evaluator) resolveTarget(t LinkTarget, r env) (graph.Value, error) {
-	if t.Skolem != nil {
-		id, err := ev.skolemNode(*t.Skolem, r)
+func (ev *evaluator) resolveTarget(t targetSlots, r env) (graph.Value, error) {
+	if t.skolem != nil {
+		id, err := ev.skolemNode(t, r)
 		if err != nil {
 			return graph.Value{}, err
 		}
 		return graph.NodeValue(id), nil
 	}
-	v, ok := resolve(*t.Term, r)
-	if !ok {
-		return graph.Value{}, fmt.Errorf("struql: variable %q unbound in construction clause", t.Term.Var)
+	v := t.args[0].in(r)
+	if v.IsZero() {
+		return graph.Value{}, fmt.Errorf("struql: variable %q unbound in construction clause", t.term.Var)
 	}
 	return v, nil
 }

@@ -1,6 +1,10 @@
 package struql
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -456,5 +460,209 @@ func TestEvalIntAndFloatBindingsDiffer(t *testing.T) {
 	}
 	if got := res.Output.Collection("Vals"); len(got) != 2 {
 		t.Errorf("Vals = %v, want Int(5) and Float(5)", got)
+	}
+}
+
+// TestEvalBindingsSeedOnlyVariable: a seed row's variables that no
+// condition names pass through unchanged into every row the seed
+// extends, as the optimizer's one-condition-at-a-time seeds need.
+func TestEvalBindingsSeedOnlyVariable(t *testing.T) {
+	g := fig2Graph(t)
+	conds := MustParse(`WHERE Publications(x), x -> "year" -> y COLLECT C(x)`).Root.Where
+	seed := []Binding{{"z": graph.Int(7)}, {"z": graph.Str("q"), "w": graph.URL("u")}}
+	rows, err := EvalBindings(g, nil, conds, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %v, want 2 publications x 2 seeds", rows)
+	}
+	for _, r := range rows {
+		want := []string{"x", "y", "z"}
+		if r["z"] == graph.Str("q") {
+			want = []string{"w", "x", "y", "z"}
+			if r["w"] != graph.URL("u") {
+				t.Errorf("row %v: w = %v, want url(u)", r, r["w"])
+			}
+		} else if r["z"] != graph.Int(7) {
+			t.Errorf("row %v: z = %v, want 7 or \"q\"", r, r["z"])
+		}
+		if got := slices.Sorted(maps.Keys(r)); !slices.Equal(got, want) {
+			t.Errorf("row %v binds %v, want %v", r, got, want)
+		}
+	}
+}
+
+// TestEvalBindingsFilterReturnsSeeds: a conjunction that binds no new
+// variable returns the seed rows it keeps, in seed order, as the seeds'
+// own maps; one that binds a variable returns new maps.
+func TestEvalBindingsFilterReturnsSeeds(t *testing.T) {
+	g := fig2Graph(t)
+	seed := []Binding{{"y": graph.Int(1997)}, {"y": graph.Int(1995)}, {"y": graph.Int(1998)}, {"y": graph.Int(1996)}}
+	same := func(a, b Binding) bool {
+		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	}
+
+	rows, err := EvalBindings(g, nil, MustParse(`WHERE y > 1995, y < 1998 COLLECT C(y)`).Root.Where, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || !same(rows[0], seed[0]) || !same(rows[1], seed[3]) {
+		t.Errorf("rows = %v, want seeds 0 and 3 themselves", rows)
+	}
+
+	rows, err = EvalBindings(g, nil, MustParse(`WHERE y > 1995, z = y COLLECT C(y)`).Root.Where, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Binding{{"y": graph.Int(1997), "z": graph.Int(1997)}, {"y": graph.Int(1998), "z": graph.Int(1998)}, {"y": graph.Int(1996), "z": graph.Int(1996)}}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows = %v, want %v", rows, want)
+	}
+	for _, r := range rows {
+		for _, s := range seed {
+			if same(r, s) {
+				t.Errorf("row %v is a seed's map, though the conjunction binds z", r)
+			}
+		}
+	}
+}
+
+// TestEvalConstructionOnlyVariable: a query built without the parser
+// can name a variable in a construction clause that no where clause
+// binds. It has no slot and reads as unbound, so evaluation reports it
+// unbound.
+func TestEvalConstructionOnlyVariable(t *testing.T) {
+	g := graph.New("g")
+	g.AddToCollection("C", graph.Str("a"))
+	for _, c := range []struct {
+		name, want string
+		edit       func(b *Block)
+	}{
+		{"create", `G(z): variable "z" unbound`, func(b *Block) {
+			b.Creates = append(b.Creates, SkolemTerm{Func: "G", Args: []Term{VarTerm("z")}})
+		}},
+		{"link target", `variable "z" unbound in construction clause`, func(b *Block) { b.Links[0].To = LinkTarget{Term: &Term{Var: "z"}} }},
+		{"arc variable", `arc variable "l" unbound`, func(b *Block) { b.Links[0].Label = LabelTerm{Var: "l"} }},
+		{"aggregate", `COUNT(z): variable "z" unbound`, func(b *Block) { b.Links[0].To = LinkTarget{Agg: &AggTerm{Op: AggCount, Var: "z"}} }},
+		{"collect", `variable "z" unbound in construction clause`, func(b *Block) { b.Collects[0].Target = LinkTarget{Term: &Term{Var: "z"}} }},
+	} {
+		q := MustParse(`WHERE C(x) CREATE F(x) LINK F(x) -> "n" -> x COLLECT Out(F(x))`)
+		c.edit(q.Root)
+		if _, err := Eval(q, g, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestEvalNegationBindsNothing: the anti-join evaluates its inner
+// condition over a copy of each row and of the bound set, so a
+// variable bound only under not(...) is absent from the rows it keeps
+// and stays unbound for the conditions after it. In a query such a
+// variable is ranged over the active domain before the anti-join runs,
+// so it is bound there by the domain, never by the negated condition.
+func TestEvalNegationBindsNothing(t *testing.T) {
+	g := graph.New("g")
+	a, b := g.NewNode("a"), g.NewNode("b")
+	g.AddEdge(a, "x", graph.NodeValue(b))
+	g.AddToCollection("C", graph.NodeValue(a))
+	g.AddToCollection("C", graph.NodeValue(b))
+
+	q := MustParse(`WHERE C(x), not(x -> "x" -> y) COLLECT O(x)`)
+	ev := &evaluator{in: g, reg: NewRegistry(), slots: newSlots(q.Root.Vars())}
+	x, y := ev.slots.of("x"), ev.slots.of("y")
+	rows := []env{ev.slots.row().extend(x, graph.NodeValue(a)), ev.slots.row().extend(x, graph.NodeValue(b))}
+	bound := make([]bool, 2)
+	bound[x] = true
+	kept, err := ev.expand(q.Root.Where[1], rows, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 1 || kept[0][x] != graph.NodeValue(b) || !kept[0][y].IsZero() {
+		t.Errorf("kept %v, want only x = b with y unbound", kept)
+	}
+	if bound[y] {
+		t.Error("the anti-join marked y bound")
+	}
+
+	got, err := EvalBindings(g, nil, q.Root.Where, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Binding{
+		{"x": graph.NodeValue(a), "y": graph.NodeValue(a)},
+		{"x": graph.NodeValue(b), "y": graph.NodeValue(a)},
+		{"x": graph.NodeValue(b), "y": graph.NodeValue(b)},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("EvalBindings = %v, want %v", got, want)
+	}
+}
+
+// TestEvalManyVariables: a where clause that binds more variables than
+// a machine word has bits evaluates like any other. Two chains of 70
+// nodes each bind x0..x69 once.
+func TestEvalManyVariables(t *testing.T) {
+	const n = 70
+	g := graph.New("g")
+	var conds []string
+	for c := 0; c < 2; c++ {
+		prev := g.NewNode(fmt.Sprintf("c%d_0", c))
+		g.AddToCollection("Start", graph.NodeValue(prev))
+		for i := 1; i < n; i++ {
+			next := g.NewNode(fmt.Sprintf("c%d_%d", c, i))
+			g.AddEdge(prev, "next", graph.NodeValue(next))
+			prev = next
+		}
+	}
+	conds = append(conds, "Start(x0)")
+	for i := 1; i < n; i++ {
+		conds = append(conds, fmt.Sprintf(`x%d -> "next" -> x%d`, i-1, i))
+	}
+	q := MustParse("WHERE " + strings.Join(conds, ", ") + fmt.Sprintf(` CREATE P(x0, x%d) COLLECT Ends(P(x0, x%d))`, n-1, n-1))
+	res := mustEval(t, q, g, nil)
+	if res.Bindings != 2 {
+		t.Errorf("Bindings = %d, want 2", res.Bindings)
+	}
+	for c := 0; c < 2; c++ {
+		if _, ok := res.Output.NodeByName(fmt.Sprintf("P(c%d_0,c%d_%d)", c, c, n-1)); !ok {
+			t.Errorf("P(c%d_0,c%d_%d) missing:\n%s", c, c, n-1, res.Output.DumpString())
+		}
+	}
+	rows, err := EvalBindings(g, nil, q.Root.Where, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("EvalBindings: %d rows, want 2", len(rows))
+	}
+	for _, r := range rows {
+		c := g.NodeName(r["x0"].OID())[:2]
+		for i := 0; i < n; i++ {
+			if v := r[fmt.Sprintf("x%d", i)]; !v.IsNode() || g.NodeName(v.OID()) != fmt.Sprintf("%s_%d", c, i) {
+				t.Errorf("row from %s: x%d = %v", c, i, v)
+			}
+		}
+	}
+}
+
+// TestEvalZeroCollectionMember: the zero Value never becomes a
+// collection member, so it never reaches a row, where it would read as
+// an unbound slot.
+func TestEvalZeroCollectionMember(t *testing.T) {
+	g := graph.New("g")
+	g.AddToCollection("C", graph.Value{})
+	g.AddToCollection("C", graph.Str("a"))
+	q := MustParse(`WHERE C(x) CREATE P(x) COLLECT Out(P(x))`)
+	res := mustEval(t, q, g, nil)
+	if res.NewNodes != 1 || len(res.Output.Collection("Out")) != 1 {
+		t.Errorf("NewNodes = %d, Out = %v; want one P node", res.NewNodes, res.Output.Collection("Out"))
+	}
+	rows, err := EvalBindings(g, nil, q.Root.Where, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Binding{{"x": graph.Str("a")}}; !reflect.DeepEqual(rows, want) {
+		t.Errorf("EvalBindings = %v, want %v", rows, want)
 	}
 }

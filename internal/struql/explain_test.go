@@ -1,7 +1,9 @@
 package struql
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,6 +165,21 @@ func TestProvenanceRecordsConstructedNodes(t *testing.T) {
 			t.Errorf("%s: attrs = %v, want to include \"title\"", np.Name, np.Attrs)
 		}
 	}
+	// Each sampled tuple holds exactly its row's bound variables: none
+	// for the root block's row, x, l and v for the where block's.
+	for _, id := range ids {
+		np, _ := prov.Node(id)
+		for _, tup := range np.Tuples {
+			if vars := slices.Sorted(maps.Keys(tup)); len(vars) != 0 && !slices.Equal(vars, []string{"l", "v", "x"}) {
+				t.Errorf("%s: tuple %v binds %v, want none or [l v x]", np.Name, tup, vars)
+			}
+			for name, v := range tup {
+				if v.IsZero() {
+					t.Errorf("%s: tuple %v holds unbound %s", np.Name, tup, name)
+				}
+			}
+		}
+	}
 	// RootPage is created unconditionally but linked from the WHERE
 	// block (`RootPage() -> "Paper" -> PaperPage(x)`), so its link list
 	// — and therefore its provenance — depends on every publication.
@@ -176,6 +193,26 @@ func TestProvenanceRecordsConstructedNodes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rootSrcs, []string{"pub1", "pub2"}) {
 		t.Errorf("RootPage sources = %v, want [pub1 pub2]", rootSrcs)
+	}
+}
+
+// TestProvenanceAcrossQueries: one recorder spans the queries composed
+// into one output graph, and their rows are told apart by variable
+// name, not by slot. Both queries bind their only variable in slot 0,
+// so {x: m} and {y: m} are two tuples of P(), not one.
+func TestProvenanceAcrossQueries(t *testing.T) {
+	g := fig2Graph(t)
+	prov := NewProvenance()
+	opts := &Options{Output: g.NewSibling("site"), Provenance: prov}
+	mustEval(t, parseQuery(t, `WHERE Publications(x), x -> "year" -> 1997 CREATE P() LINK P() -> "a" -> x`), g, opts)
+	mustEval(t, parseQuery(t, `WHERE Publications(y), y -> "year" -> 1997 CREATE P() LINK P() -> "b" -> y`), g, opts)
+	id, ok := opts.Output.NodeByName("P()")
+	if !ok {
+		t.Fatal("P() missing")
+	}
+	np, _ := prov.Node(id)
+	if np.TupleCount != 2 || len(np.Tuples) != 2 {
+		t.Errorf("P(): %d tuples %v, want {x: pub1} and {y: pub1}", np.TupleCount, np.Tuples)
 	}
 }
 

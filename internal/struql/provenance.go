@@ -83,18 +83,14 @@ func (p *Provenance) record(ev *evaluator, b *Block, id graph.OID, r env) {
 		np.rowSeen[string(key)] = struct{}{}
 		np.tuples++
 		if len(np.sample) < maxProvTuples {
-			t := make(Binding, len(r))
-			for k, v := range r {
-				t[k] = v
-			}
-			np.sample = append(np.sample, t)
+			np.sample = append(np.sample, ev.slots.binding(r))
 		}
 	}
-	for name, v := range r {
+	for i, v := range r {
 		if v.IsNode() && ev.in.HasNode(v.OID()) {
 			np.sources[v.OID()] = ev.in.NodeName(v.OID())
 		}
-		if ev.varKinds[name] == arcVar {
+		if ev.slots.kinds[i] == arcVar {
 			if s, ok := v.AsString(); ok && s != "" {
 				np.attrs[s] = struct{}{}
 			}
